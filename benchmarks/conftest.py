@@ -1,17 +1,20 @@
 """Shared infrastructure for the benchmark suite.
 
 Every benchmark regenerates one of the paper's tables or figures.  The
-``report`` fixture collects the reproduced rows and writes them to
-``benchmarks/results/<test>.txt`` so the artifacts survive the run (the
-same lines are also printed, visible with ``pytest -s``).  Benchmarks
-that publish machine-readable numbers call :meth:`Report.metric`; the
-metrics land next to the text report as ``BENCH_<group>.json`` so CI
-(and trend tooling) can diff them without parsing tables.
+``report`` fixture collects the reproduced rows and prints them
+(visible with ``pytest -s``).  With ``REPRO_BENCH_WRITE=1`` set it also
+writes them to ``benchmarks/results/<test>.txt`` so the artifacts
+survive the run; without it a test run leaves the tracked result files
+untouched.  Benchmarks that publish machine-readable numbers call
+:meth:`Report.metric`; the metrics land next to the text report as
+``BENCH_<group>.json`` so CI (and trend tooling) can diff them without
+parsing tables.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 
 import pytest
@@ -43,6 +46,9 @@ class Report:
         self.metrics[name] = value
 
     def flush(self) -> None:
+        """Write the report and metrics under ``REPRO_BENCH_WRITE=1``."""
+        if os.environ.get("REPRO_BENCH_WRITE") != "1":
+            return
         RESULTS_DIR.mkdir(exist_ok=True)
         path = RESULTS_DIR / f"{self.name}.txt"
         path.write_text("\n".join(self.lines) + "\n", encoding="utf-8")

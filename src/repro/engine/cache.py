@@ -28,8 +28,9 @@ does not.  :class:`PlanResultCache` implements that contract:
   (``max_entries``) and an estimated *byte* budget (``max_bytes``)
   covering each entry's result payload and fingerprint key.  Byte
   accounting always reflects the entry's *current* payload — a
-  revalidated entry is re-estimated from its patched match list, so
-  eviction pressure stays truthful after any number of deltas.
+  revalidated entry is charged for its patched match list (by the
+  dirty matches alone when only those changed), so eviction pressure
+  stays truthful after any number of deltas.
   `QueryMatch` objects are frozen, so sharing them across callers is
   safe (the returned list itself is fresh per call).
 
@@ -51,6 +52,8 @@ from typing import TYPE_CHECKING
 from repro.core.errors import EngineError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from collections.abc import Iterable
+
     from repro.query.results import QueryMatch
 
 __all__ = ["PlanResultCache"]
@@ -72,19 +75,27 @@ def _flat_sizeof(value: object) -> int:
     return size
 
 
-def _estimate_entry_bytes(key: tuple, matches: "tuple[QueryMatch, ...]") -> int:
-    """Estimated resident cost of one cache entry.
-
-    Counts the fingerprint key and, per match, the frozen dataclass,
-    its name string and its deviation records.  An estimate (Python
-    object graphs share plenty), but a *monotone* one: more matches or
-    fatter fingerprints always cost more, which is all eviction needs.
-    """
-    cost = _ENTRY_OVERHEAD + _flat_sizeof(key)
+def _matches_bytes(matches: "Iterable[QueryMatch]") -> int:
+    """Estimated cost of some matches: per match, the frozen dataclass,
+    its name string and its deviation records."""
+    cost = 0
     for match in matches:
         cost += 96 + sys.getsizeof(match.name)
         cost += 120 * len(match.deviations)
     return cost
+
+
+def _estimate_entry_bytes(key: tuple, matches: "tuple[QueryMatch, ...]") -> int:
+    """Estimated resident cost of one cache entry.
+
+    Counts the fingerprint key and every match (:func:`_matches_bytes`).
+    An estimate (Python object graphs share plenty), but a *monotone*
+    one: more matches or fatter fingerprints always cost more, which is
+    all eviction needs.  It is also additive over matches, which lets
+    :meth:`PlanResultCache.revalidate` re-charge a delta patch by its
+    dirty matches alone.
+    """
+    return _ENTRY_OVERHEAD + _flat_sizeof(key) + _matches_bytes(matches)
 
 
 class _CacheEntry:
@@ -205,7 +216,16 @@ class PlanResultCache:
         delta-revalidated, only replaced.
         """
         payload = tuple(matches)
-        entry_bytes = _estimate_entry_bytes(key, payload)
+        self._put(key, generation, payload, _estimate_entry_bytes(key, payload), vector)
+
+    def _put(
+        self,
+        key: tuple,
+        generation: object,
+        payload: "tuple[QueryMatch, ...]",
+        entry_bytes: int,
+        vector: "tuple | None",
+    ) -> None:
         with self._lock:
             if self.max_bytes is not None and entry_bytes > self.max_bytes:
                 self._discard(key)
@@ -230,6 +250,8 @@ class PlanResultCache:
         matches: "list[QueryMatch]",
         dirty_count: "int | None",
         refill: bool = False,
+        *,
+        patched_from: "tuple[tuple[QueryMatch, ...], set[int]] | None" = None,
     ) -> None:
         """Refresh a stale entry in place at a new generation.
 
@@ -242,6 +264,14 @@ class PlanResultCache:
         outcome.  Byte accounting is recomputed from the *patched*
         payload, so a heavily patched entry weighs exactly what it
         currently holds.
+
+        ``patched_from=(old_matches, dirty)`` declares ``matches`` to be
+        ``old_matches`` with the matches of every id in ``dirty``
+        replaced and nothing else changed (the unlimited delta patch).
+        While ``old_matches`` is still the entry's payload, its byte
+        cost is then moved by the dirty matches only, which gives the
+        same figure as a full re-estimate without walking the whole
+        answer.
         """
         with self._lock:
             self.revalidations += 1
@@ -251,7 +281,21 @@ class PlanResultCache:
                 self.delta_hits += 1
             if refill:
                 self.topk_refills += 1
-            self.store(key, generation, matches, vector=vector)
+            entry = self._entries.get(key)
+            if (
+                patched_from is None
+                or entry is None
+                or entry.payload is not patched_from[0]
+            ):
+                self.store(key, generation, matches, vector=vector)
+                return
+            old_matches, dirty = patched_from
+            entry_bytes = (
+                entry.entry_bytes
+                - _matches_bytes(m for m in old_matches if m.sequence_id in dirty)
+                + _matches_bytes(m for m in matches if m.sequence_id in dirty)
+            )
+            self._put(key, generation, tuple(matches), entry_bytes, vector)
 
     def _discard(self, key: tuple) -> None:
         entry = self._entries.pop(key, None)

@@ -38,7 +38,7 @@ Three layers, all deterministic:
     store's :class:`~repro.engine.journal.MutationJournal`, with a
     staleness-ratio full rebuild
     (:func:`repro.index.maintenance.stale_rebuild_due` — the same
-    policy :meth:`repro.index.trie.SymbolTrie.update` applies) once
+    policy the succinct symbol mirror applies) once
     incremental reassignments dominate.  Clustering quality only ever
     affects *speed*: the query path compares true distances for every
     candidate it does not prove away, so a badly clustered index
@@ -240,9 +240,8 @@ class ClusterIndex:
     #: ``_TAU_SLACK`` times the mean assignment gap observed at build
     #: time, else found their own cluster.
     _TAU_SLACK = 2.0
-    #: Staleness floor before a ratio rebuild can trigger — lower than
-    #: the trie's 256: reassignments erode pruning power faster than
-    #: stale trie occurrences erode lookups.
+    #: Staleness floor before a ratio rebuild can trigger — low:
+    #: reassignments erode pruning power quickly.
     _STALE_FLOOR = 64
 
     def __init__(self, store: "ColumnarSegmentStore") -> None:

@@ -387,7 +387,10 @@ class QueryExecutor:
                 bisect.insort(patched, match, key=QueryMatch.sort_key)
 
         def commit_delta() -> None:
-            cache.revalidate(key, generation, vector, patched, dirty_count=len(dirty))
+            cache.revalidate(
+                key, generation, vector, patched, dirty_count=len(dirty),
+                patched_from=(old_matches, dirty),
+            )
 
         return patched, commit_delta
 

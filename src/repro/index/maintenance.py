@@ -1,9 +1,9 @@
 """Shared maintenance policies for incrementally patched indexes.
 
 Several structures in this codebase are patched in place by streaming
-mutations and accumulate *stale* residue while doing so: the symbol
-trie leaves dead occurrence entries on its nodes when a suffix is
-rewritten (:meth:`repro.index.trie.SymbolTrie.update`), and the
+mutations and accumulate *stale* residue while doing so: the succinct
+symbol mirror keeps an overlay of the sequences mutated since its last
+build (:class:`repro.engine.succinct.SuccinctSymbolIndex`), and the
 cluster-representative index keeps assigning mutated sequences to the
 leader partition chosen at build time
 (:class:`repro.engine.clustering.ClusterIndex`).  Both degrade
@@ -20,18 +20,17 @@ from __future__ import annotations
 
 __all__ = ["stale_rebuild_due"]
 
-#: Default staleness floor: below this many stale entries a rebuild
-#: can never be worth its O(total) cost, whatever the ratio.
-STALE_REBUILD_FLOOR = 256
 
-
-def stale_rebuild_due(stale: int, total: int, floor: int = STALE_REBUILD_FLOOR) -> bool:
+def stale_rebuild_due(stale: int, total: int, floor: int) -> bool:
     """Whether accumulated staleness justifies an O(total) rebuild.
 
-    True when more than ``floor`` stale entries have accumulated *and*
-    they outnumber half of ``total`` — i.e. the amortized cost of the
-    rebuild is charged against at least as much dead weight as live
-    structure.  With every mutation adding O(1) stale entries, rebuilds
-    triggered by this rule cost O(1) amortized per mutation.
+    ``floor`` is the caller's staleness floor: below that many stale
+    entries a rebuild is never worth its O(total) cost, whatever the
+    ratio.  True when more than ``floor`` stale entries have
+    accumulated *and* they outnumber half of ``total`` — i.e. the
+    amortized cost of the rebuild is charged against at least as much
+    dead weight as live structure.  With every mutation adding O(1)
+    stale entries, rebuilds triggered by this rule cost O(1) amortized
+    per mutation.
     """
     return stale > floor and 2 * stale > total

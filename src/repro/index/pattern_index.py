@@ -8,9 +8,10 @@ using the index we get the positions of the first point of all stored
 sequences that match that pattern."
 
 :class:`PatternIndex` stores each representation's symbol string in a
-positional suffix trie and answers
+positional suffix trie (whose nodes are built on the first lookup) and
+answers
 
-* exact symbol-substring lookups straight from the trie, and
+* exact symbol-substring lookups from the trie, and
 * regular-expression pattern queries by running the NFA matcher over
   candidate strings (whole-string match for queries like goal-post
   fever, or substring search returning first-point positions).
@@ -63,22 +64,16 @@ class PatternIndex:
         """Bulk-index precomputed ``(sequence_id, symbols)`` pairs.
 
         The batched ingest path's entry point: equivalent to calling
-        :meth:`add_symbols` per pair, but the trie sorts the batch so
-        inserts share prefix paths (identical strings — ubiquitous in
-        the run-collapsed behavioural view — replay recorded node
-        paths outright).  Validated up front; a bad batch inserts
-        nothing.
+        :meth:`add_symbols` per pair.  Validated up front; a bad batch
+        inserts nothing.
         """
         self._trie.add_many(items)
 
     def update_symbols(self, sequence_id: int, symbols: str) -> None:
         """Re-index a sequence whose symbol string changed at the tail.
 
-        The streaming append path's entry point: the trie patches only
-        the suffixes the change touches (see
-        :meth:`repro.index.trie.SymbolTrie.update`), instead of a full
-        remove-and-re-add.  End state answers every query identically
-        to re-adding from scratch.
+        The streaming append path's entry point.  End state answers
+        every query identically to re-adding from scratch.
         """
         self._trie.update(sequence_id, symbols)
 
@@ -87,7 +82,7 @@ class PatternIndex:
         self._trie.remove(sequence_id)
 
     def remove_many(self, sequence_ids: "Iterable[int]") -> None:
-        """Unindex many sequences in one trie prune pass."""
+        """Unindex many sequences."""
         self._trie.remove_many(sequence_ids)
 
     def __len__(self) -> int:
@@ -114,11 +109,11 @@ class PatternIndex:
         the entire 24-hour sequence, so a full match is required.
         """
         compiled = SymbolPattern.compile(pattern) if isinstance(pattern, str) else pattern
-        return sorted(
+        return [
             sequence_id
-            for sequence_id in self._sequence_ids()
-            if compiled.fullmatch(self._trie.symbols_of(sequence_id))
-        )
+            for sequence_id, symbols in self._trie.items()
+            if compiled.fullmatch(symbols)
+        ]
 
     def search(self, pattern: "SymbolPattern | str") -> list[Occurrence]:
         """First-point positions of pattern occurrences in any sequence.
@@ -129,11 +124,7 @@ class PatternIndex:
         """
         compiled = SymbolPattern.compile(pattern) if isinstance(pattern, str) else pattern
         hits: list[Occurrence] = []
-        for sequence_id in self._sequence_ids():
-            symbols = self._trie.symbols_of(sequence_id)
+        for sequence_id, symbols in self._trie.items():
             for start, __ in compiled.finditer(symbols):
                 hits.append(Occurrence(sequence_id, start))
         return sorted(set(hits))
-
-    def _sequence_ids(self) -> list[int]:
-        return sorted(self._trie._strings)

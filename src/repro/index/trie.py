@@ -1,4 +1,4 @@
-"""A positional suffix trie over symbol strings.
+"""A positional suffix trie over symbol strings, built on first lookup.
 
 The paper maintains "an index structure that supports pattern matching,
 like the ones discussed in [Fre60, AHU74, Sub95] ... on the positiveness
@@ -8,9 +8,16 @@ Fredkin's trie memory; this module provides a trie over the slope-sign
 alphabet that records, for every indexed substring, the sequence it came
 from and the segment position where it starts.
 
-Depth is bounded: substrings longer than ``max_depth`` fall back to
-verification by the caller (a standard trade-off that keeps the trie
-linear in total symbol volume for fixed depth).
+The engine answers pattern queries from its symbol columns, so the trie
+is a reference structure that is only sometimes asked.  Mutations
+therefore touch nothing but the ``sequence id -> symbol string`` dict
+and drop any built node tree; :meth:`SymbolTrie.find` builds the nodes
+from the live strings on its first call and caches them until the next
+mutation.  Ingest, append and delete never pay for nodes nobody reads.
+
+Depth is bounded: substrings longer than ``max_depth`` are verified
+against the strings (a standard trade-off that keeps the trie linear in
+total symbol volume for fixed depth).
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.errors import IndexError_
-from repro.index.maintenance import stale_rebuild_due
 
 __all__ = ["SymbolTrie", "Occurrence"]
 
@@ -38,157 +44,49 @@ class _TrieNode:
     occurrences: list[Occurrence] = field(default_factory=list)
 
 
+#: A built node tree: the mutation count it was built at, its root and
+#: the snapshot of strings it was built from.
+_Built = tuple[int, _TrieNode, dict[int, str]]
+
+
 class SymbolTrie:
     """Suffix trie with per-node occurrence lists.
 
     Every suffix of every indexed string is inserted up to
     ``max_depth`` symbols; a node's occurrence list holds every
     ``(sequence, position)`` whose substring spells the path to it.
+    The nodes exist only between a :meth:`find` and the next mutation.
     """
 
     def __init__(self, max_depth: int = 12) -> None:
         if max_depth < 1:
             raise IndexError_("max_depth must be at least 1")
         self.max_depth = int(max_depth)
-        self._root = _TrieNode()
         self._strings: dict[int, str] = {}
-        #: Occurrence entries currently appended across all nodes, the
-        #: estimated subset of them left stale by lazy updates, and the
-        #: ids whose entries may be stale or duplicated (only those need
-        #: query-time verification).
-        self._total_occurrences = 0
-        self._stale_occurrences = 0
-        self._stale_ids: "set[int]" = set()
+        #: Bumped by every mutation.  A build publishes its tree only if
+        #: the count has not moved since it took its snapshot, and a
+        #: published tree is used only while the count still matches,
+        #: so a build that overlaps a writer never serves old strings.
+        self._mutations = 0
+        self._built: _Built | None = None
 
     # ------------------------------------------------------------------
-    # Building
+    # Mutation
     # ------------------------------------------------------------------
+
+    def _mutated(self) -> None:
+        self._mutations += 1
+        self._built = None
 
     def add(self, sequence_id: int, symbols: str) -> None:
-        """Index every suffix of ``symbols`` (trimmed to max_depth)."""
-        if sequence_id in self._strings:
-            raise IndexError_(f"sequence {sequence_id} already indexed")
-        self._strings[sequence_id] = symbols
-        self._insert_suffixes(sequence_id, symbols)
-
-    def _insert_suffixes(self, sequence_id: int, symbols: str) -> None:
-        """Walk/extend the trie for every suffix of one string.
-
-        Occurrences are immutable, so one shared instance per suffix is
-        appended to every node on its path — value-identical to fresh
-        instances, far fewer allocations.
-        """
-        max_depth = self.max_depth
-        root = self._root
-        appended = 0
-        for start in range(len(symbols)):
-            occurrence = Occurrence(sequence_id, start)
-            node = root
-            node.occurrences.append(occurrence)
-            appended += 1
-            for symbol in symbols[start : start + max_depth]:
-                node = node.children.setdefault(symbol, _TrieNode())
-                node.occurrences.append(occurrence)
-                appended += 1
-        self._total_occurrences += appended
-
-    def update(self, sequence_id: int, symbols: str) -> None:
-        """Re-index one sequence whose string changed at the tail.
-
-        The streaming append path's entry point.  Work is proportional
-        to the *changed suffix*: suffixes wholly inside the common
-        prefix of the old and new strings are untouched (their indexed
-        substrings are identical), and each affected suffix walks only
-        the part of its path that diverges from the old one.  Stale
-        occurrences left behind on old diverged paths are tolerated —
-        :meth:`find` verifies every hit against the live strings, so
-        they can never surface — counted, and compacted away by a full
-        rebuild once they outweigh the live entries (amortized
-        suffix-only cost).
-        """
-        old = self._strings.get(sequence_id)
-        if old is None:
-            raise IndexError_(f"sequence {sequence_id} not indexed")
-        if not isinstance(symbols, str):
-            raise IndexError_(f"symbols must be a string, got {type(symbols).__name__}")
-        if old == symbols:
-            return
-        max_depth = self.max_depth
-        lcp = 0
-        limit = min(len(old), len(symbols))
-        while lcp < limit and old[lcp] == symbols[lcp]:
-            lcp += 1
-        # Suffixes starting at or before lcp - max_depth index substrings
-        # entirely inside the common prefix — nothing about them changed.
-        affected = max(0, lcp - max_depth + 1)
-        self._strings[sequence_id] = symbols
-        root = self._root
-        appended = 0
-        stale = 0
-        for start in range(affected, len(symbols)):
-            occurrence = Occurrence(sequence_id, start)
-            new_sub = symbols[start : start + max_depth]
-            old_sub = old[start : start + max_depth] if start < len(old) else ""
-            shared = 0
-            shared_limit = min(len(new_sub), len(old_sub))
-            while shared < shared_limit and new_sub[shared] == old_sub[shared]:
-                shared += 1
-            node = root
-            if start >= len(old):
-                # A brand-new suffix: its root entry does not exist yet.
-                node.occurrences.append(occurrence)
-                appended += 1
-            for i in range(len(new_sub)):
-                symbol = new_sub[i]
-                if i < shared:
-                    # The old path spelled the same symbols here; the
-                    # occurrence is already on these nodes.
-                    node = node.children[symbol]
-                else:
-                    node = node.children.setdefault(symbol, _TrieNode())
-                    node.occurrences.append(occurrence)
-                    appended += 1
-            stale += max(len(old_sub) - shared, 0)
-        if len(old) > len(symbols):
-            # Old suffixes past the new end are dead entirely, root
-            # entries included.
-            for start in range(max(affected, len(symbols)), len(old)):
-                stale += 1 + len(old[start : start + max_depth])
-        self._total_occurrences += appended
-        self._stale_occurrences += stale
-        if stale:
-            self._stale_ids.add(sequence_id)
-        if stale_rebuild_due(self._stale_occurrences, self._total_occurrences):
-            self._rebuild()
-
-    def _rebuild(self) -> None:
-        """Compact away stale occurrences by re-inserting every string."""
-        self._root = _TrieNode()
-        self._total_occurrences = 0
-        self._stale_occurrences = 0
-        self._stale_ids.clear()
-        for sequence_id in sorted(self._strings):
-            self._insert_suffixes(sequence_id, self._strings[sequence_id])
-
-    @property
-    def stale_occurrences(self) -> int:
-        """Estimated stale node entries awaiting compaction."""
-        return self._stale_occurrences
+        """Index one string."""
+        self.add_many([(sequence_id, symbols)])
 
     def add_many(self, items: "Iterable[tuple[int, str]]") -> None:
-        """Bulk-index many ``(sequence_id, symbols)`` pairs.
+        """Index many ``(sequence_id, symbols)`` pairs.
 
-        Equivalent to calling :meth:`add` per pair (same nodes, same
-        occurrence sets), validated up front so a bad batch inserts
-        nothing.  The batch is processed in sorted symbol-string order
-        so shared prefixes land on consecutive inserts, and the node
-        path of every distinct suffix (trimmed to ``max_depth``) is
-        cached for the duration of the call: over a small alphabet real
-        corpora repeat the same local behaviour constantly — whole
-        run-collapsed strings, ECG beat motifs — so most suffixes
-        replay a recorded path with one list append per node instead
-        of a dict walk per symbol.  The cache dies with the call, so
-        later ``remove`` pruning can never invalidate it.
+        Validated up front: a duplicate or already-indexed id, or a
+        non-string, fails the call before anything is indexed.
         """
         batch = list(items)
         seen: "set[int]" = set()
@@ -200,53 +98,30 @@ class SymbolTrie:
                     f"symbols must be a string, got {type(symbols).__name__}"
                 )
             seen.add(sequence_id)
-        max_depth = self.max_depth
-        root = self._root
-        # Cached per suffix: the bound ``occurrences.append`` of every
-        # node on its path.  Valid for the duration of this call only —
-        # pruning replaces occurrence lists, so the cache must never
-        # outlive it (and it cannot: no removal happens mid-call).
-        path_cache: "dict[str, list]" = {}
-        appended = 0
-        for sequence_id, symbols in sorted(batch, key=lambda item: item[1]):
+        if batch:
+            self._strings.update(batch)
+            self._mutated()
+
+    def update(self, sequence_id: int, symbols: str) -> None:
+        """Replace the string of an indexed sequence."""
+        old = self._strings.get(sequence_id)
+        if old is None:
+            raise IndexError_(f"sequence {sequence_id} not indexed")
+        if not isinstance(symbols, str):
+            raise IndexError_(f"symbols must be a string, got {type(symbols).__name__}")
+        if old != symbols:
             self._strings[sequence_id] = symbols
-            for start in range(len(symbols)):
-                key = symbols[start : start + max_depth]
-                path = path_cache.get(key)
-                if path is None:
-                    node = root
-                    path = [node.occurrences.append]
-                    for symbol in key:
-                        node = node.children.setdefault(symbol, _TrieNode())
-                        path.append(node.occurrences.append)
-                    path_cache[key] = path
-                occurrence = Occurrence(sequence_id, start)
-                for push in path:
-                    push(occurrence)
-                appended += len(path)
-        self._total_occurrences += appended
+            self._mutated()
 
     def remove(self, sequence_id: int) -> None:
-        """Unindex one sequence: drop its occurrences everywhere.
-
-        Nodes left without occurrences are pruned so the trie does not
-        accumulate dead branches across insert/remove churn.
-        """
+        """Unindex one sequence."""
         if sequence_id not in self._strings:
             raise IndexError_(f"sequence {sequence_id} not indexed")
         del self._strings[sequence_id]
-        self._stale_ids.discard(sequence_id)
-        self._prune(self._root, {sequence_id})
+        self._mutated()
 
     def remove_many(self, sequence_ids: "Iterable[int]") -> None:
-        """Unindex many sequences in one trie pass.
-
-        Equivalent to calling :meth:`remove` per id, but the
-        occurrence-filtering / dead-branch-pruning walk over the whole
-        trie runs once for the batch instead of once per id.  Validated
-        up front: an unknown id fails the call before anything is
-        removed.
-        """
+        """Unindex many sequences; an unknown id fails the call first."""
         id_set = set(int(sequence_id) for sequence_id in sequence_ids)
         missing = sorted(
             sequence_id for sequence_id in id_set if sequence_id not in self._strings
@@ -257,27 +132,7 @@ class SymbolTrie:
             return
         for sequence_id in id_set:
             del self._strings[sequence_id]
-        self._stale_ids -= id_set
-        self._prune(self._root, id_set)
-
-    def _prune(self, node: _TrieNode, sequence_ids: "set[int]") -> bool:
-        """Remove the ids' occurrences below ``node``; True if it died."""
-        kept = [o for o in node.occurrences if o.sequence_id not in sequence_ids]
-        self._total_occurrences -= len(node.occurrences) - len(kept)
-        node.occurrences = kept
-        dead_children = []
-        for symbol, child in node.children.items():
-            if self._prune(child, sequence_ids):
-                dead_children.append(symbol)
-        for symbol in dead_children:
-            del node.children[symbol]
-        if node is self._root:
-            # Pruning removed an unknown share of the stale entries;
-            # clamp the estimate so it can only trigger compaction early.
-            self._stale_occurrences = min(
-                self._stale_occurrences, self._total_occurrences
-            )
-        return not node.occurrences and not node.children
+        self._mutated()
 
     def __contains__(self, sequence_id: int) -> bool:
         return sequence_id in self._strings
@@ -291,60 +146,75 @@ class SymbolTrie:
         except KeyError as exc:
             raise IndexError_(f"sequence {sequence_id} not indexed") from exc
 
+    def items(self) -> "list[tuple[int, str]]":
+        """Every ``(sequence_id, symbols)`` pair, in id order."""
+        return sorted(self._strings.items())
+
     # ------------------------------------------------------------------
     # Querying
     # ------------------------------------------------------------------
 
+    def _build(self) -> _Built:
+        """Build the node tree from a snapshot of the live strings.
+
+        Strings are inserted in id order and suffixes in position
+        order, so every occurrence list comes out sorted.
+        """
+        mutations = self._mutations
+        strings = dict(self._strings)
+        max_depth = self.max_depth
+        root = _TrieNode()
+        for sequence_id, symbols in sorted(strings.items()):
+            for start in range(len(symbols)):
+                occurrence = Occurrence(sequence_id, start)
+                node = root
+                node.occurrences.append(occurrence)
+                for symbol in symbols[start : start + max_depth]:
+                    child = node.children.get(symbol)
+                    if child is None:
+                        child = node.children[symbol] = _TrieNode()
+                    node = child
+                    node.occurrences.append(occurrence)
+        built = (mutations, root, strings)
+        if self._mutations == mutations:
+            self._built = built
+        return built
+
+    def _current(self) -> _Built | None:
+        built = self._built
+        if built is None or built[0] != self._mutations:
+            return None
+        return built
+
     def find(self, substring: str) -> list[Occurrence]:
-        """All occurrences of an exact symbol substring.
+        """All occurrences of an exact symbol substring, sorted.
 
         Substrings within ``max_depth`` are answered from the trie
-        alone for every sequence that has never left stale entries
-        behind (the pure-insert fast path); occurrences of the — few —
-        ids touched by a diverging lazy :meth:`update` are verified
-        against the live strings (screening out stale entries and
-        de-duplicating re-inserted paths).  Substrings longer than the
-        depth bound verify everything, as before.
+        alone; longer ones are verified against the strings the trie
+        was built from.
         """
-        node = self._root
+        built = self._current() or self._build()
+        __, node, strings = built
         for symbol in substring[: self.max_depth]:
             child = node.children.get(symbol)
             if child is None:
                 return []
             node = child
-        length = len(substring)
-        strings = self._strings
-        stale_ids = self._stale_ids
-        if length <= self.max_depth:
-            if not stale_ids:
-                return sorted(node.occurrences)
-            clean = [
-                occ for occ in node.occurrences if occ.sequence_id not in stale_ids
-            ]
-            # Only suspect ids need verification (and only they can be
-            # duplicated).  The position bound matters for the empty
-            # substring: a stale occurrence past a shrunken string's end
-            # would slice "" == "" and bogusly verify.
-            suspects = {
-                occ
-                for occ in node.occurrences
-                if occ.sequence_id in stale_ids
-                and occ.position < len(strings[occ.sequence_id])
-                and strings[occ.sequence_id][occ.position : occ.position + length]
-                == substring
-            }
-            return sorted(clean + list(suspects))
-        verified = {
+        if len(substring) <= self.max_depth:
+            return list(node.occurrences)
+        return [
             occ
             for occ in node.occurrences
-            if occ.position < len(strings[occ.sequence_id])
-            and strings[occ.sequence_id][occ.position : occ.position + length] == substring
-        }
-        return sorted(verified)
+            if strings[occ.sequence_id].startswith(substring, occ.position)
+        ]
 
     def node_count(self) -> int:
+        """Nodes in the built tree; 0 while the trie is unbuilt."""
+        built = self._current()
+        if built is None:
+            return 0
         count = 0
-        stack = [self._root]
+        stack = [built[1]]
         while stack:
             node = stack.pop()
             count += 1

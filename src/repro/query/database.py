@@ -498,7 +498,8 @@ class SequenceDatabase:
         the representation is re-broken *from the last breakpoint only*
         when the breaker supports online extension
         (:meth:`~repro.segmentation.base.Breaker.extend_indices`), the
-        pattern/behaviour tries and the inverted R-R index are patched
+        pattern/behaviour tries take the new strings (their nodes are
+        rebuilt on the next lookup), the inverted R-R index is patched
         for the affected suffix only, and the columnar store splices
         the sequence's rows in place — journalled as one ``"append"``
         touching exactly this id, so cached query answers re-grade one
@@ -693,11 +694,11 @@ class SequenceDatabase:
 
         End state is identical to deleting the ids one at a time, but
         each structure pays its fixed costs once for the batch: the
-        pattern and behaviour tries prune dead branches in a single
-        pass, the inverted R-R index filters its postings file once,
-        and the columnar store compacts each touched shard's columns in
-        one sweep — bumping each shard's generation (and therefore the
-        result-cache epoch) once per shard rather than once per id.
+        pattern and behaviour tries drop the ids' strings, the inverted
+        R-R index filters its postings file once, and the columnar
+        store compacts each touched shard's columns in one sweep —
+        bumping each shard's generation (and therefore the result-cache
+        epoch) once per shard rather than once per id.
         The whole batch is validated up front; an unknown or duplicate
         id removes nothing.
         """

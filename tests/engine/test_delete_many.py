@@ -49,6 +49,7 @@ def _assert_equal_state(a: SequenceDatabase, b: SequenceDatabase) -> None:
     for sequence_id in a.ids():
         assert a.pattern_index.symbols_of(sequence_id) == b.pattern_index.symbols_of(sequence_id)
         assert a.behavior_index.symbols_of(sequence_id) == b.behavior_index.symbols_of(sequence_id)
+    assert a.pattern_index.find_exact("") == b.pattern_index.find_exact("")
     assert a.pattern_index._trie.node_count() == b.pattern_index._trie.node_count()
     assert len(a.rr_index) == len(b.rr_index)
     b.rr_index.check_invariants()

@@ -327,6 +327,58 @@ class TestSizeAwareEviction:
         cache.revalidate(("q",), 2, (2,), self._matches(400), dirty_count=5)
         assert cache.estimated_bytes > original
 
+    def test_delta_patch_charge_equals_full_estimate(self):
+        # A delta patch re-charges only the dirty matches; the figure
+        # must equal a fresh store of the same patched list.
+        cache = PlanResultCache(max_entries=8, max_bytes=1 << 20)
+        cache.store(("q",), 0, self._matches(50), vector=(0,))
+        __, old_matches, ___ = cache.stale_entry(("q",), 1)
+        dirty = {3, 10, 11, 70}
+        fresh = [
+            QueryMatch(i, "renamed-" * (i % 4), m.grade, m.deviations * 2)
+            for i, m in ((3, old_matches[3]), (70, old_matches[0]))
+        ]
+        patched = [m for m in old_matches if m.sequence_id not in dirty] + fresh
+        cache.revalidate(
+            ("q",), 1, (1,), patched, dirty_count=len(dirty),
+            patched_from=(old_matches, dirty),
+        )
+        control = PlanResultCache(max_entries=8, max_bytes=1 << 20)
+        control.store(("q",), 1, patched, vector=(1,))
+        assert cache.estimated_bytes == control.estimated_bytes
+        assert cache.lookup(("q",), 1) == patched
+        assert cache.delta_hits == 1
+
+    def test_delta_patch_on_replaced_entry_re_estimates(self):
+        # If the entry was replaced after the patch was computed, the
+        # declared base no longer matches; the whole answer is charged.
+        cache = PlanResultCache(max_entries=8, max_bytes=1 << 20)
+        cache.store(("q",), 0, self._matches(50), vector=(0,))
+        __, old_matches, ___ = cache.stale_entry(("q",), 1)
+        cache.store(("q",), 0, self._matches(5), vector=(0,))
+        patched = list(old_matches[:20])
+        cache.revalidate(
+            ("q",), 1, (1,), patched, dirty_count=1,
+            patched_from=(old_matches, {99}),
+        )
+        control = PlanResultCache(max_entries=8, max_bytes=1 << 20)
+        control.store(("q",), 1, patched, vector=(1,))
+        assert cache.estimated_bytes == control.estimated_bytes
+
+    def test_executor_delta_keeps_bytes_exact(self, db):
+        query = PeakCountQuery(1)
+        answer = db.query(query)
+        for round_index in range(3):
+            db.insert(k_peak_sequence([5.0], noise=0.0, name=f"late-{round_index}"))
+            db.delete(answer[0].sequence_id)
+            answer = db.query(query)
+            assert answer == db.query(query, cache=False)
+        assert db.result_cache.delta_hits == 3
+        (entry_key,) = db.result_cache._entries
+        control = PlanResultCache()
+        control.store(entry_key, 0, answer)
+        assert db.result_cache.estimated_bytes == control.estimated_bytes
+
     def test_byte_budget_evicts_lru(self):
         cache = PlanResultCache(max_entries=100, max_bytes=None)
         cache.store(("probe",), 0, self._matches(25))

@@ -30,6 +30,8 @@ def _random_strings(n: int, seed: int, duplicates: bool = True) -> "list[tuple[i
 
 
 def _trie_state(trie: SymbolTrie) -> dict:
+    """Every node's path and occurrences, building the trie first."""
+    trie.find("")
     state = {}
 
     def walk(node, path):
@@ -37,7 +39,7 @@ def _trie_state(trie: SymbolTrie) -> dict:
         for symbol, child in node.children.items():
             walk(child, path + symbol)
 
-    walk(trie._root, "")
+    walk(trie._built[1], "")
     return state
 
 
@@ -50,9 +52,9 @@ class TestTrieAddMany:
             sequential.add(sequence_id, symbols)
         bulk = SymbolTrie(max_depth=max_depth)
         bulk.add_many(items)
+        assert _trie_state(bulk) == _trie_state(sequential)
         assert bulk.node_count() == sequential.node_count()
         assert len(bulk) == len(sequential)
-        assert _trie_state(bulk) == _trie_state(sequential)
         for sequence_id, symbols in items:
             assert bulk.symbols_of(sequence_id) == symbols
 
@@ -73,6 +75,7 @@ class TestTrieAddMany:
         for sequence_id, __ in items:
             bulk.remove(sequence_id)
         assert len(bulk) == 0
+        assert _trie_state(bulk) == {"": []}
         assert bulk.node_count() == 1  # only the root survives
 
     def test_remove_many_equals_sequential_removes(self):
@@ -93,6 +96,7 @@ class TestTrieAddMany:
         with pytest.raises(IndexError_):
             trie.add_many([(1, "+-"), (1, "0")])
         assert len(trie) == 0
+        assert _trie_state(trie) == {"": []}
         assert trie.node_count() == 1
 
     def test_existing_id_rejected_before_any_insert(self):
@@ -118,6 +122,7 @@ class TestTrieAddMany:
         assert len(trie) == 3
         assert trie.symbols_of(1) == ""
         trie.remove_many([1, 2, 3])
+        assert _trie_state(trie) == {"": []}
         assert trie.node_count() == 1
 
 

@@ -1,4 +1,4 @@
-"""Suffix-only index maintenance: trie updates and posting tail swaps.
+"""Streaming index maintenance: trie updates and posting tail swaps.
 
 The oracle in both cases is full remove-and-re-add: after any chain of
 updates, every query the structure answers must be identical to a
@@ -14,6 +14,7 @@ from repro.core.errors import IndexError_
 from repro.index.inverted import InvertedFileIndex
 from repro.index.pattern_index import PatternIndex
 from repro.index.trie import SymbolTrie
+from test_trie import brute_force_find
 
 ALPHABET = "+-0"
 
@@ -76,17 +77,24 @@ class TestTrieUpdate:
             trie.update(sequence_id, strings[sequence_id])
         _assert_trie_equivalent(trie, strings, max_depth=3)
 
-    def test_stale_occurrences_compact_via_rebuild(self):
+    def test_updates_leave_no_residue(self):
+        # Finds between updates build the trie over and over; after 300
+        # rewrites it must hold exactly the nodes a fresh build holds.
         rng = np.random.default_rng(2)
         trie = SymbolTrie(max_depth=4)
         trie.add(0, "+-0+-0+-0+")
-        seen_positive = False
-        for _ in range(300):
+        trie.add(1, "00+-")
+        for step in range(300):
             trie.update(0, _random_symbols(rng, 8, 20))
-            seen_positive = seen_positive or trie.stale_occurrences > 0
-        assert seen_positive
-        # The rebuild threshold keeps garbage bounded by live volume.
-        assert trie.stale_occurrences <= trie._total_occurrences
+            if step % 7 == 0:
+                trie.find("+-")
+        strings = dict(trie.items())
+        fresh = SymbolTrie(max_depth=4)
+        fresh.add_many(strings.items())
+        for sub in _all_substrings(strings.values(), 4):
+            assert trie.find(sub) == brute_force_find(strings, sub), sub
+        fresh.find("")
+        assert trie.node_count() == fresh.node_count()
 
     def test_update_unknown_or_bad_arguments(self):
         trie = SymbolTrie()

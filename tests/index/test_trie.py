@@ -7,16 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import IndexError_
+from repro.index import trie as trie_module
 from repro.index.trie import Occurrence, SymbolTrie
 
 
 def brute_force_find(strings: dict[int, str], needle: str) -> list[Occurrence]:
+    """Every occurrence by scanning; "" occurs at every symbol position."""
     hits = []
     for sid, s in strings.items():
         start = 0
         while True:
             pos = s.find(needle, start)
-            if pos < 0:
+            if pos < 0 or pos >= len(s):
                 break
             hits.append(Occurrence(sid, pos))
             start = pos + 1
@@ -102,5 +104,119 @@ class TestModelBased:
     def test_node_count_bounded(self):
         trie = SymbolTrie(max_depth=4)
         trie.add(0, "+-0" * 20)
+        trie.find("")
+        assert trie.node_count() > 1
         # Bounded depth over a 3-symbol alphabet: at most sum_{d<=4} 3^d nodes.
         assert trie.node_count() <= 1 + 3 + 9 + 27 + 81
+
+
+_ids = st.integers(min_value=0, max_value=5)
+_symbols = st.text(alphabet="+-0", max_size=20)
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _ids, _symbols),
+        st.tuples(st.just("add_many"), st.lists(st.tuples(_ids, _symbols), max_size=3)),
+        st.tuples(st.just("update"), _ids, _symbols),
+        st.tuples(st.just("remove"), _ids),
+        st.tuples(st.just("remove_many"), st.lists(_ids, max_size=3)),
+        st.tuples(st.just("find"), st.text(alphabet="+-0", max_size=16)),
+        # A slice of a live string: hits for needles past max_depth.
+        st.tuples(
+            st.just("find_slice"), _ids, st.integers(0, 20), st.integers(0, 20)
+        ),
+    ),
+    max_size=40,
+)
+
+
+class TestBuiltOnFirstLookup:
+    def test_mutations_build_no_nodes(self):
+        trie = SymbolTrie(max_depth=3)
+        trie.add_many([(0, "+-+-"), (1, "00")])
+        trie.update(0, "+-0")
+        trie.remove(1)
+        assert trie.node_count() == 0
+        assert trie.find("+-") == [Occurrence(0, 0)]
+        built = trie.node_count()
+        assert built > 0
+        assert trie.find("-0") == [Occurrence(0, 1)]
+        assert trie.node_count() == built  # cached until the next mutation
+        trie.add(2, "+")
+        assert trie.node_count() == 0
+
+    def test_no_op_mutations_keep_the_built_trie(self):
+        trie = SymbolTrie()
+        trie.add(0, "+-")
+        trie.find("+")
+        trie.update(0, "+-")
+        trie.remove_many([])
+        trie.add_many([])
+        assert trie.node_count() > 0
+
+    def test_build_overlapping_a_writer_is_not_cached(self, monkeypatch):
+        trie = SymbolTrie(max_depth=3)
+        trie.add(0, "+-+")
+        real = trie_module.Occurrence
+
+        def occurrence_with_writer(*args):
+            # A writer lands after the build took its snapshot.
+            monkeypatch.setattr(trie_module, "Occurrence", real)
+            trie.update(0, "000")
+            return real(*args)
+
+        monkeypatch.setattr(trie_module, "Occurrence", occurrence_with_writer)
+        assert trie.find("+-") == [Occurrence(0, 0)]  # answered from the snapshot
+        assert trie.node_count() == 0
+        assert trie.find("+-") == []
+        assert trie.find("00") == [Occurrence(0, 0), Occurrence(0, 1)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([1, 3, 12]), _operations)
+    def test_interleaved_mutations_match_brute_force(self, depth, operations):
+        trie = SymbolTrie(max_depth=depth)
+        model: dict[int, str] = {}
+        for name, *args in operations:
+            if name in ("find", "find_slice"):
+                if name == "find":
+                    needle = args[0]
+                else:
+                    sequence_id, lo, hi = args
+                    needle = model.get(sequence_id, "")[lo:hi]
+                assert trie.find(needle) == brute_force_find(model, needle)
+                continue
+            expected = _model_after(model, name, args)
+            if expected is None:
+                with pytest.raises(IndexError_):
+                    getattr(trie, name)(*args)
+            else:
+                getattr(trie, name)(*args)
+                model = expected
+            assert trie.items() == sorted(model.items())
+
+
+def _model_after(model: dict[int, str], name: str, args: list) -> "dict[int, str] | None":
+    """The strings after a mutation, or None if the trie must refuse it."""
+    after = dict(model)
+    if name == "add":
+        sequence_id, symbols = args
+        if sequence_id in model:
+            return None
+        after[sequence_id] = symbols
+    elif name == "add_many":
+        (batch,) = args
+        batch_ids = [sequence_id for sequence_id, __ in batch]
+        if len(set(batch_ids)) != len(batch_ids) or set(batch_ids) & set(model):
+            return None
+        after.update(batch)
+    elif name == "update":
+        sequence_id, symbols = args
+        if sequence_id not in model:
+            return None
+        after[sequence_id] = symbols
+    else:
+        victims = {args[0]} if name == "remove" else set(args[0])
+        if not victims <= set(model):
+            return None
+        for sequence_id in victims:
+            del after[sequence_id]
+    return after

@@ -119,9 +119,13 @@ class TestTrieDelete:
 
         trie = SymbolTrie()
         trie.add(0, "+-+-+-")
+        trie.find("")
         full = trie.node_count()
         trie.add(1, "000")
+        trie.find("")
+        assert trie.node_count() > full
         trie.remove(1)
+        trie.find("")
         assert trie.node_count() == full
 
     def test_readd_after_remove(self):
