@@ -140,7 +140,7 @@ def find_peaks_many(
 ) -> "list[tuple[np.ndarray, np.ndarray]]":
     """Apex ``(times, amplitudes)`` of every peak, for a whole batch.
 
-    The columnar twin of :func:`find_peaks`, built for bulk ingest: the
+    The columnar twin of :func:`find_peaks`, run by every database write: the
     batch's ``segment_columns`` are stacked, classified once with
     :func:`classify_slopes` and collapsed into behavioural runs with the
     shared :func:`run_start_mask` kernel (sequence boundaries always

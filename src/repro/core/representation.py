@@ -11,6 +11,17 @@ points.  It answers the questions the paper's machinery needs:
 * refitting — the paper *breaks* with interpolation lines but
   *represents* with regression lines, so a representation can be rebuilt
   from the same breakpoints with a different curve kind.
+
+Every construction path (:meth:`~FunctionSeriesRepresentation.from_breakpoints`,
+the append path's :meth:`~FunctionSeriesRepresentation.from_breakpoints_reusing`
+and bulk ingest) fits through the one batch loop of
+:meth:`~FunctionSeriesRepresentation.from_breakpoints_many`.  A
+representation of line segments (the regression and interpolation
+kinds) therefore leaves construction with its
+:meth:`~FunctionSeriesRepresentation.segment_columns` already filled,
+and its slopes, symbols and peaks are read from those arrays.  Only
+other curve kinds and representations decoded from a blob build the
+columns by walking their segments.
 """
 
 from __future__ import annotations
@@ -210,34 +221,11 @@ class FunctionSeriesRepresentation:
         This is the paper's two-phase flow: a breaking algorithm yields
         the boundaries, then any registered curve kind supplies the
         stored functions (regression lines in the paper's experiments).
+        A batch of one through :meth:`from_breakpoints_many`.
         """
-        fitter = get_fitter(curve_kind)
-        segments = []
-        for start, end in boundaries:
-            piece = sequence.subsequence(start, end)
-            if len(piece) == 1:
-                # A single point cannot be fitted by most families; use a
-                # regression (constant) line which all downstream code
-                # treats uniformly.
-                function = get_fitter("regression")(piece)
-            else:
-                function = fitter(piece)
-            segments.append(
-                Segment(
-                    function=function,
-                    start_index=start,
-                    end_index=end,
-                    start_point=piece[0],
-                    end_point=piece[-1],
-                )
-            )
-        return cls(
-            segments,
-            name=sequence.name,
-            source_length=len(sequence),
-            curve_kind=curve_kind,
-            epsilon=epsilon,
-        )
+        return cls.from_breakpoints_many(
+            [sequence], [boundaries], curve_kind=curve_kind, epsilon=epsilon
+        )[0]
 
     @classmethod
     def from_breakpoints_many(
@@ -247,16 +235,21 @@ class FunctionSeriesRepresentation:
         curve_kind: str = "regression",
         epsilon: float = 0.0,
     ) -> "list[FunctionSeriesRepresentation]":
-        """Batch twin of :meth:`from_breakpoints` with columnar assembly.
+        """Fit ``curve_kind`` to every window of a batch of sequences.
 
-        Fits the same per-window curves (on zero-copy window views, so
-        the fitted parameters are bit-identical to the scalar path) and,
-        when every fitted function is a plain line, prefills each
-        representation's :meth:`segment_columns` memo with vectorized
-        column arrays — endpoint gathers and mean slopes computed in a
-        handful of NumPy calls per sequence instead of a Python loop per
-        segment.  The engine's column-block append then consumes those
-        columns without ever touching the segment objects.
+        The one fitting loop every construction path runs through
+        (:meth:`from_breakpoints` is a batch of one and
+        :meth:`from_breakpoints_reusing` fits its changed suffix here).
+        Each window's curve is fitted on a zero-copy view of its samples
+        — bit-identical to ``get_fitter(curve_kind)`` on
+        ``sequence.subsequence(start, end)`` — and a single-point window
+        gets the constant regression line.  When every fitted function
+        is a plain line, each representation's :meth:`segment_columns`
+        memo is prefilled with vectorized column arrays (endpoint
+        gathers and mean slopes in a handful of NumPy calls per
+        sequence), which the engine's column-block append and the
+        symbol and peak derivation consume without touching the segment
+        objects.
         """
         if len(sequences) != len(boundaries_list):
             raise SequenceError(
@@ -286,15 +279,15 @@ class FunctionSeriesRepresentation:
             segments = []
             for start, end in boundaries:
                 if start < 0 or end >= length or start > end:
-                    # Same rejection the scalar path gets from
-                    # Sequence.subsequence — the fast paths below slice
-                    # raw arrays and would otherwise wrap negatives.
+                    # The rejection Sequence.subsequence applies — the
+                    # fast paths below slice raw arrays and would
+                    # otherwise wrap negatives.
                     raise SequenceError(
                         f"invalid index window [{start}, {end}] for length {length}"
                     )
                 if end == start:
                     # A single point cannot be fitted by most families;
-                    # use a regression (constant) line, like the scalar path.
+                    # use a regression (constant) line.
                     function = LinearFunction(0.0, float(values[start]))
                 elif fast_regression:
                     slope, intercept = regression_coefficients(
@@ -347,7 +340,7 @@ class FunctionSeriesRepresentation:
         curve_kind: str = "regression",
         epsilon: float = 0.0,
     ) -> "FunctionSeriesRepresentation":
-        """Suffix-only twin of :meth:`from_breakpoints` for appends.
+        """Suffix-only :meth:`from_breakpoints` for appends.
 
         ``previous`` is the representation of a *prefix* of
         ``sequence`` (the pre-append data); every leading window of
@@ -355,7 +348,9 @@ class FunctionSeriesRepresentation:
         exactly reuses its fitted :class:`Segment` verbatim — segments
         are immutable and were fitted on identical samples, so reuse is
         bit-identical to refitting — and only the remaining (changed)
-        suffix windows are fitted fresh.  The result equals
+        suffix windows are fitted, through :meth:`from_breakpoints_many`.
+        The reused rows of ``previous``'s memoized columns are joined to
+        the suffix's prefilled ones.  The result equals
         ``from_breakpoints(sequence, boundaries, ...)`` byte for byte,
         at the cost of the suffix alone.
         """
@@ -367,21 +362,30 @@ class FunctionSeriesRepresentation:
             else:
                 break
         segments = list(prev_segments[:reuse])
+        columns = None
+        if previous._columns is not None:
+            columns = {name: column[:reuse] for name, column in previous._columns.items()}
         if reuse < len(boundaries):
-            # Fit the changed windows through the one canonical fitting
-            # loop, so the two construction paths can never drift.
-            segments.extend(
-                cls.from_breakpoints(
-                    sequence, boundaries[reuse:], curve_kind=curve_kind, epsilon=epsilon
-                ).segments
-            )
-        return cls(
+            suffix = cls.from_breakpoints_many(
+                [sequence], [boundaries[reuse:]], curve_kind=curve_kind, epsilon=epsilon
+            )[0]
+            segments.extend(suffix.segments)
+            if columns is not None and suffix._columns is not None:
+                columns = {
+                    name: np.concatenate([column, suffix._columns[name]])
+                    for name, column in columns.items()
+                }
+            else:
+                columns = None
+        representation = cls(
             segments,
             name=sequence.name,
             source_length=len(sequence),
             curve_kind=curve_kind,
             epsilon=epsilon,
         )
+        representation._columns = columns
+        return representation
 
     def refit(self, sequence: Sequence, curve_kind: str) -> "FunctionSeriesRepresentation":
         """The same breakpoints, represented by a different curve kind."""
@@ -451,8 +455,8 @@ class FunctionSeriesRepresentation:
     # ------------------------------------------------------------------
 
     def slopes(self) -> list[float]:
-        """Mean slope of every segment, in order."""
-        return [segment.mean_slope() for segment in self.segments]
+        """Mean slope of every segment, in order (the ``slope`` column)."""
+        return self.segment_columns()["slope"].tolist()
 
     def segment_columns(self) -> "dict[str, np.ndarray]":
         """Array views of the per-segment scalars, one entry per column.

@@ -171,24 +171,12 @@ class _ColumnSet:
             self._arrays[name][self._size : needed] = arr
         self._size = needed
 
-    def delete_range(self, lo: int, hi: int) -> None:
-        """Remove rows ``lo:hi``, shifting the tail left (compaction)."""
-        if not (0 <= lo <= hi <= self._size):
-            raise EngineError(f"row range [{lo}, {hi}) outside live rows [0, {self._size})")
-        count = hi - lo
-        if count == 0:
-            return
-        for arr in self._arrays.values():
-            arr[lo : self._size - count] = arr[hi : self._size]
-        self._size -= count
-        self._maybe_shrink()
-
     def replace_range(self, lo: int, hi: int, columns: "dict[str, np.ndarray]") -> None:
         """Splice ``columns`` in place of rows ``lo:hi``.
 
         The tail shifts by the row-count difference in one pass per
-        column; surviving rows are exactly what a ``delete_range``
-        followed by a middle insertion would leave.  This is the
+        column; surviving rows are exactly what deleting rows ``lo:hi``
+        and inserting ``columns`` at ``lo`` would leave.  This is the
         streaming append path's primitive: an appended sequence's
         re-broken rows overwrite its old rows without rebuilding the
         arrays around them.
@@ -223,8 +211,7 @@ class _ColumnSet:
         """Remove every row flagged in the boolean ``drop`` mask.
 
         One compaction pass regardless of how many disjoint row ranges
-        the mask covers — the batched-deletion counterpart of repeated
-        :meth:`delete_range` calls, with identical surviving rows.
+        the mask covers; the surviving rows keep their order.
         """
         if len(drop) != self._size:
             raise EngineError(
@@ -791,34 +778,14 @@ class ColumnarSegmentStore:
         self._commit_write()
 
     def delete(self, sequence_id: int) -> None:
-        """Drop one sequence and compact every column in place."""
-        p = self.position_of(sequence_id)
-        seg_lo = int(self.segment_starts[p])
-        seg_count = int(self.segment_counts[p])
-        beh_lo = int(self.behavior_starts[p])
-        beh_count = int(self.behavior_counts[p])
-        rr_lo = int(self.rr_starts[p])
-        rr_count = int(self.rr_counts[p])
-        self._succinct_mark_stale()
-        self._begin_write()
-        self._segments.delete_range(seg_lo, seg_lo + seg_count)
-        self._behavior.delete_range(beh_lo, beh_lo + beh_count)
-        self._rr.delete_range(rr_lo, rr_lo + rr_count)
-        self._sequences.delete_range(p, p + 1)
-        # Rows past the deleted sequence shifted left; fix their offsets.
-        self.segment_starts[p:] -= seg_count
-        self.behavior_starts[p:] -= beh_count
-        self.rr_starts[p:] -= rr_count
-        self._generation += 1
-        self._journal.record(self._generation, "delete", (int(sequence_id),))
-        self._commit_write()
+        """Drop one sequence (see :meth:`delete_many`)."""
+        self.delete_many([sequence_id])
 
     def delete_many(self, sequence_ids: "TypingSequence[int] | np.ndarray") -> None:
         """Drop many sequences in one compaction pass per column table.
 
-        The surviving rows (and recomputed offset table) are exactly
-        what repeated :meth:`delete` calls would leave, but every
-        column shifts left once for the whole batch and the store's
+        Every column shifts left once for the whole batch, the offset
+        table is recomputed from the surviving counts, and the store's
         ``generation`` bumps once — so cached query answers are
         invalidated a single time, not once per id.  Ids are de-duped;
         all of them must be live (validated before anything changes).

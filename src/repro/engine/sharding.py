@@ -345,8 +345,8 @@ class ShardedSegmentStore:
             self._shards[shard_index].replace_many(group)
 
     def delete(self, sequence_id: int) -> None:
-        """Drop one sequence from its owning shard (compacting it)."""
-        self.shard_of(sequence_id).delete(sequence_id)
+        """Drop one sequence from its owning shard (see :meth:`delete_many`)."""
+        self.delete_many([sequence_id])
 
     def delete_many(self, sequence_ids: "TypingSequence[int] | np.ndarray") -> None:
         """Drop many sequences, one batched pass per touched shard.

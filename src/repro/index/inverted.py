@@ -18,6 +18,7 @@ the physician inspects the ECG anyway.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -171,58 +172,20 @@ class InvertedFileIndex:
         self.add_array(sequence_id, values)
 
     def add_array(self, sequence_id: int, values: "Iterable[float] | np.ndarray") -> None:
-        """Record one sequence's feature column from a NumPy array.
-
-        The engine-facing ingest path: bucket keys are computed for the
-        whole column at once and postings sharing a bucket are inserted
-        through a single B-tree probe, so consuming a columnar store
-        slice costs one tree descent per *distinct* bucket instead of
-        one per posting.
-        """
-        sequence_id = _checked_sequence_id(sequence_id)
-        array = _checked_feature_array(values)
-        self._insert_column(sequence_id, array)
-
-    def _insert_column(
-        self, sequence_id: int, array: np.ndarray, position_offset: int = 0
-    ) -> None:
-        """Bucket-grouped posting insert of one validated value column.
-
-        One B-tree probe per *distinct* bucket key; positions are the
-        array offsets shifted by ``position_offset`` (the tail start for
-        :meth:`replace_tail`, 0 for a whole column).  Shared by
-        :meth:`add_array` and :meth:`replace_tail` so the bucketing
-        scheme can never drift between them.
-        """
-        if array.size == 0:
-            return
-        keys = np.floor(array / self.bucket_width).astype(int)
-        order = np.argsort(keys, kind="stable")
-        bucket = None
-        current_key = None
-        for position in order:
-            key = int(keys[position])
-            if key != current_key:
-                bucket = self._btree.setdefault(key, PostingBucket)
-                current_key = key
-            bucket.add(
-                Posting(float(array[position]), sequence_id, position_offset + int(position))
-            )
-        self._count += array.size
+        """Record one sequence's feature column (a block of one, see :meth:`add_block`)."""
+        self.add_block([(sequence_id, values)])
 
     def add_block(
         self, items: "Iterable[tuple[int, Iterable[float] | np.ndarray]]"
     ) -> None:
         """Record many sequences' feature columns as one batch.
 
-        The bulk-ingest path: every payload is validated first (a bad
-        item inserts nothing for the whole block), then bucket keys are
-        computed for the batch's stacked value column in one vectorized
-        pass, and each distinct bucket is probed in the B-tree exactly
-        once for the whole block — its new postings merged with a single
-        sort instead of one ``bisect.insort`` per posting.  The
-        resulting buckets are identical to calling :meth:`add_array`
-        per sequence.
+        The ingest path for one sequence or many: every payload is
+        validated first (a bad item inserts nothing for the whole
+        block), then the stacked value column goes through
+        :meth:`_insert_postings`, so each distinct bucket is probed in
+        the B-tree once for the whole block.  Positions are offsets
+        within each sequence's own column.
         """
         columns: "list[tuple[int, np.ndarray]]" = []
         for sequence_id, values in items:
@@ -231,33 +194,38 @@ class InvertedFileIndex:
             )
         if not columns:
             return
-        stacked = np.concatenate([array for __, array in columns])
-        if stacked.size == 0:
+        self._insert_postings(
+            np.concatenate([array for __, array in columns]),
+            np.repeat(
+                np.array([sequence_id for sequence_id, __ in columns], dtype=np.int64),
+                np.array([array.size for __, array in columns], dtype=np.int64),
+            ),
+            np.concatenate([np.arange(array.size, dtype=np.int64) for __, array in columns]),
+        )
+
+    def _insert_postings(
+        self, values: np.ndarray, sequences: np.ndarray, positions: np.ndarray
+    ) -> None:
+        """Bucket-grouped insert of validated posting columns.
+
+        The one bucketing loop shared by :meth:`add_block` and
+        :meth:`replace_tail`: bucket keys are computed for the whole
+        column at once, and the postings sharing a bucket go in through
+        a single B-tree probe, each at its sorted place.
+        """
+        if values.size == 0:
             return
-        sequence_column = np.repeat(
-            np.array([sequence_id for sequence_id, __ in columns], dtype=np.int64),
-            np.array([array.size for __, array in columns], dtype=np.int64),
-        )
-        position_column = np.concatenate(
-            [np.arange(array.size, dtype=np.int64) for __, array in columns]
-        )
-        keys = np.floor(stacked / self.bucket_width).astype(int)
+        keys = np.floor(values / self.bucket_width).astype(int)
         order = np.argsort(keys, kind="stable")
-        bucket = None
-        current_key = None
-        touched: "list[PostingBucket]" = []
-        for row in order:
-            key = int(keys[row])
-            if key != current_key:
-                bucket = self._btree.setdefault(key, PostingBucket)
-                touched.append(bucket)
-                current_key = key
-            bucket.postings.append(
-                Posting(float(stacked[row]), int(sequence_column[row]), int(position_column[row]))
-            )
-        for bucket in touched:
-            bucket.postings.sort()
-        self._count += stacked.size
+        key_list = keys.tolist()
+        value_list = values.tolist()
+        sequence_list = sequences.tolist()
+        position_list = positions.tolist()
+        for key, rows in itertools.groupby(order.tolist(), key=key_list.__getitem__):
+            bucket = self._btree.setdefault(key, PostingBucket)
+            for row in rows:
+                bucket.add(Posting(value_list[row], sequence_list[row], position_list[row]))
+        self._count += values.size
 
     def __len__(self) -> int:
         """Total posting count (not distinct sequences)."""
@@ -336,7 +304,11 @@ class InvertedFileIndex:
                 if not kept:
                     self._btree.delete(key)
             self._count -= removed
-        self._insert_column(sequence_id, fresh, position_offset=lcp)
+        self._insert_postings(
+            fresh,
+            np.full(fresh.size, sequence_id, dtype=np.int64),
+            np.arange(lcp, new.size, dtype=np.int64),
+        )
         return removed
 
     def remove_sequence(self, sequence_id: int) -> int:
@@ -350,9 +322,9 @@ class InvertedFileIndex:
     def remove_sequences(self, sequence_ids: "Iterable[int]") -> int:
         """Drop every posting of many sequences in one pass; count removed.
 
-        The batched-deletion twin of :meth:`remove_sequence`: the
-        postings file is filtered once for the whole id set instead of
-        once per id, and buckets left empty are deleted from the B-tree.
+        The one removal body (:meth:`remove_sequence` is a batch of
+        one): the postings file is filtered once for the whole id set,
+        and buckets left empty are deleted from the B-tree.
         """
         id_set = {int(sequence_id) for sequence_id in sequence_ids}
         removed = 0

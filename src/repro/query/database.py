@@ -32,10 +32,8 @@ from repro.core.features import Peak, PeakTableRow, find_peaks, find_peaks_many,
 from repro.core.representation import (
     FunctionSeriesRepresentation,
     classify_slopes,
-    collapse_symbol_runs,
     decode_symbols,
     run_start_mask,
-    symbols_from_slopes,
 )
 from repro.core.sequence import Sequence
 from repro.engine import (
@@ -297,32 +295,27 @@ class SequenceDatabase:
 
     @_mutator
     def insert(self, sequence: Sequence) -> int:
-        """Archive, break, represent and index one sequence."""
-        sequence_id = self._admit(sequence)
-        if self.normalize:
-            sequence = znormalize(sequence)
-        representation = self.breaker.represent(sequence, curve_kind=self.curve_kind)
-        peak_count, intervals = self._ingest_one(sequence_id, representation, sequence.name)
-        self.store.insert(
-            sequence_id, representation, peak_count=peak_count, rr=intervals
-        )
-        return sequence_id
+        """Archive, break, represent and index one sequence.
+
+        A batch of one through :meth:`insert_all`.
+        """
+        return self.insert_all([sequence])[0]
 
     @_mutator
     def insert_all(self, sequences: Iterable[Sequence]) -> list[int]:
-        """Batch ingest: break, represent and index the batch columnarly.
+        """Archive, break, represent and index a batch of sequences.
 
-        Functionally identical to repeated :meth:`insert` — same
-        boundaries, representations, symbol strings, peaks and postings,
-        bit for bit — but every stage runs over the whole batch at once:
-        the breaker's frontier-batched :meth:`Breaker.represent_many`
-        breaks all sequences in lock-step rounds, slope symbols are
-        classified in one pass feeding both pattern-index views through
-        their bulk ``add_symbols_many`` entry points, peaks come from
-        :func:`find_peaks_many` over the stacked run-collapsed symbol
-        columns, R-R intervals land in the inverted index as one
-        :meth:`InvertedFileIndex.add_block`, and the columnar store's
-        arrays grow a single time per touched shard.
+        The one raw ingest path (:meth:`insert` is a batch of one).
+        Every stage runs over the whole batch at once: the breaker's
+        frontier-batched :meth:`Breaker.represent_many` breaks all
+        sequences in lock-step rounds, slope symbols are classified in
+        one pass feeding both pattern-index views through their bulk
+        ``add_symbols_many`` entry points, peaks come from
+        :func:`find_peaks_many` over the same codes, R-R intervals land
+        in the inverted index as one :meth:`InvertedFileIndex.add_block`,
+        and the columnar store's arrays grow a single time per touched
+        shard.  The stored state does not depend on how a stream of
+        sequences is split into batches.
         """
         batch = list(sequences)
         if not batch:
@@ -331,56 +324,7 @@ class SequenceDatabase:
         if self.normalize:
             batch = [znormalize(sequence) for sequence in batch]
         representations = self.breaker.represent_many(batch, curve_kind=self.curve_kind)
-
-        # Classify and render the whole batch's slope symbols in one
-        # pass: decode_symbols is a pure per-code map and runs never
-        # span sequences (run_start_mask re-opens a run at every group
-        # start), so slicing the batch strings per sequence yields
-        # exactly the strings the scalar path computes one by one.
-        code_blocks = [
-            classify_slopes(representation.segment_columns()["slope"], self.theta)
-            for representation in representations
-        ]
-        counts = np.array([len(block) for block in code_blocks], dtype=np.int64)
-        group_starts = np.zeros(len(counts), dtype=np.int64)
-        np.cumsum(counts[:-1], out=group_starts[1:])
-        flat_codes = np.concatenate(code_blocks)
-        all_symbols = decode_symbols(flat_codes)
-        run_starts = run_start_mask(flat_codes, group_starts)
-        collapsed_counts = np.add.reduceat(run_starts.astype(np.int64), group_starts)
-        all_collapsed = decode_symbols(flat_codes[run_starts])
-
-        positional_items: "list[tuple[int, str]]" = []
-        behavior_items: "list[tuple[int, str]]" = []
-        position = 0
-        collapsed_position = 0
-        for sequence_id, sequence, representation, count, collapsed_count in zip(
-            sequence_ids, batch, representations, counts.tolist(), collapsed_counts.tolist()
-        ):
-            self._register(sequence_id, representation, sequence.name)
-            positional_items.append((sequence_id, all_symbols[position : position + count]))
-            behavior_items.append(
-                (
-                    sequence_id,
-                    all_collapsed[collapsed_position : collapsed_position + collapsed_count],
-                )
-            )
-            position += count
-            collapsed_position += collapsed_count
-        self.pattern_index.add_symbols_many(positional_items)
-        self.behavior_index.add_symbols_many(behavior_items)
-
-        peak_columns = find_peaks_many(representations, self.theta, codes=flat_codes)
-        interval_blocks = [np.diff(times) for times, __ in peak_columns]
-        self.rr_index.add_block(zip(sequence_ids, interval_blocks))
-        self.store.extend(
-            [
-                (sequence_id, representation, len(times), intervals)
-                for sequence_id, representation, (times, __), intervals in zip(
-                    sequence_ids, representations, peak_columns, interval_blocks
-                )
-            ]
-        )
+        self._ingest(sequence_ids, [sequence.name for sequence in batch], representations)
         return sequence_ids
 
     @_mutator
@@ -405,12 +349,7 @@ class SequenceDatabase:
         """
         sequence_id = self._next_id
         self._next_id += 1
-        peak_count, intervals = self._ingest_one(
-            sequence_id, representation, name or representation.name
-        )
-        self.store.insert(
-            sequence_id, representation, peak_count=peak_count, rr=intervals
-        )
+        self._ingest([sequence_id], [name or representation.name], [representation])
         return sequence_id
 
     def ingest_pipeline(self, batch_size: int = 256) -> "IngestPipeline":
@@ -437,49 +376,77 @@ class SequenceDatabase:
             self.archive.store(sequence_id, sequence)
         return sequence_id
 
-    def _register(
+    def _ingest(
         self,
-        sequence_id: int,
-        representation: FunctionSeriesRepresentation,
-        name: str,
+        sequence_ids: "list[int]",
+        names: "list[str]",
+        representations: "list[FunctionSeriesRepresentation]",
     ) -> None:
-        """Record one representation in the maps, local tier and catalog.
+        """Register, index and store a batch of new representations.
 
-        The registration block shared verbatim by per-sequence ingest
-        (:meth:`_ingest_one`) and batched :meth:`insert_all`, so the
-        default-name rule and the stored tags can never drift between
-        the two paths.
+        Records each in the maps, the local tier and the catalog, then
+        feeds both pattern indexes, the inverted R-R index and the
+        columnar store from one :meth:`_derive` pass.
         """
-        self._representations[sequence_id] = representation
-        self._names[sequence_id] = name or f"seq-{sequence_id}"
-        self.local_store.store(sequence_id, representation)
-        self.catalog.put(sequence_id, "default", representation)
+        symbols, behaviours, peak_counts, intervals = self._derive(representations)
+        for sequence_id, name, representation in zip(sequence_ids, names, representations):
+            self._representations[sequence_id] = representation
+            self._names[sequence_id] = name or f"seq-{sequence_id}"
+            self.local_store.store(sequence_id, representation)
+            self.catalog.put(sequence_id, "default", representation)
+        self.pattern_index.add_symbols_many(zip(sequence_ids, symbols))
+        self.behavior_index.add_symbols_many(zip(sequence_ids, behaviours))
+        self.rr_index.add_block(zip(sequence_ids, intervals))
+        self.store.extend(zip(sequence_ids, representations, peak_counts, intervals))
 
-    def _ingest_one(
-        self,
-        sequence_id: int,
-        representation: FunctionSeriesRepresentation,
-        name: str,
-    ) -> "tuple[int, np.ndarray]":
-        """Register one representation everywhere except the columnar store.
+    def _derive(
+        self, representations: "list[FunctionSeriesRepresentation]"
+    ) -> "tuple[list[str], list[str], list[int], list[np.ndarray]]":
+        """Symbol strings, peak counts and R-R intervals of a batch.
 
-        Classifies the slope alphabet once and feeds both pattern-index
-        views from that single pass, extracts peaks once for both the
-        peak count and the R-R intervals, and returns ``(peak_count,
-        intervals)`` so callers can forward them to the columnar store
-        (individually or batched).
+        Returns four lists in batch order: the positional slope-sign
+        strings, the run-collapsed (behavioural) strings, the peak
+        counts and the R-R intervals (first differences of the peak
+        times).  The batch's slope columns are classified once;
+        ``decode_symbols`` is a pure per-code map and runs never span
+        sequences (``run_start_mask`` re-opens a run at every group
+        start), so slicing the batch strings per sequence yields each
+        sequence's own strings, and :func:`find_peaks_many` reuses the
+        same codes.
         """
-        self._register(sequence_id, representation, name)
+        slope_columns = [
+            representation.segment_columns()["slope"] for representation in representations
+        ]
+        counts = np.array([len(column) for column in slope_columns], dtype=np.int64)
+        group_starts = np.zeros(len(counts), dtype=np.int64)
+        np.cumsum(counts[:-1], out=group_starts[1:])
+        flat_codes = classify_slopes(np.concatenate(slope_columns), self.theta)
+        all_symbols = decode_symbols(flat_codes)
+        run_starts = run_start_mask(flat_codes, group_starts)
+        collapsed_counts = np.add.reduceat(run_starts.astype(np.int64), group_starts)
+        all_collapsed = decode_symbols(flat_codes[run_starts])
+        peak_times = [
+            times
+            for times, __ in find_peaks_many(representations, self.theta, codes=flat_codes)
+        ]
 
-        symbols = symbols_from_slopes(representation.slopes(), self.theta)
-        self.pattern_index.add_symbols(sequence_id, symbols)
-        self.behavior_index.add_symbols(sequence_id, collapse_symbol_runs(symbols))
-
-        peaks = find_peaks(representation, self.theta)
-        peak_count = len(peaks)
-        intervals = np.diff(np.asarray([peak.time for peak in peaks], dtype=float))
-        self.rr_index.add_array(sequence_id, intervals)
-        return peak_count, intervals
+        symbols: "list[str]" = []
+        behaviours: "list[str]" = []
+        position = 0
+        collapsed_position = 0
+        for count, collapsed_count in zip(counts.tolist(), collapsed_counts.tolist()):
+            symbols.append(all_symbols[position : position + count])
+            behaviours.append(
+                all_collapsed[collapsed_position : collapsed_position + collapsed_count]
+            )
+            position += count
+            collapsed_position += collapsed_count
+        return (
+            symbols,
+            behaviours,
+            [len(times) for times in peak_times],
+            [np.diff(times) for times in peak_times],
+        )
 
     # ------------------------------------------------------------------
     # Streaming append
@@ -527,10 +494,14 @@ class SequenceDatabase:
         values, times)`` tuples.  Breaking runs through the breaker's
         batch :meth:`~repro.segmentation.base.Breaker.extend_indices_many`
         (frontier-batched suffix rescans for online breakers, the
-        frontier-batched full re-break otherwise) and the columnar
-        store splices all touched rows with one generation bump per
-        touched shard.  The whole batch is validated before anything
-        mutates.  Returns the new lengths, in item order.
+        frontier-batched full re-break otherwise), only the changed
+        suffix windows are refitted
+        (:meth:`FunctionSeriesRepresentation.from_breakpoints_reusing`),
+        symbols, peaks and R-R intervals come from the same batch
+        derivation :meth:`insert_all` uses, and the columnar store
+        splices all touched rows with one generation bump per touched
+        shard.  The whole batch is validated before anything mutates.
+        Returns the new lengths, in item order.
         """
         batch: "list[tuple[int, np.ndarray, object]]" = []
         for item in items:
@@ -614,16 +585,11 @@ class SequenceDatabase:
             self.archive.replace(sequence_id, sequence)
 
         store_items = []
-        for sequence_id, representation in zip(ids, representations):
-            symbols = symbols_from_slopes(representation.slopes(), self.theta)
+        for sequence_id, representation, symbols, behaviour, peak_count, intervals in zip(
+            ids, representations, *self._derive(representations)
+        ):
             self.pattern_index.update_symbols(sequence_id, symbols)
-            self.behavior_index.update_symbols(
-                sequence_id, collapse_symbol_runs(symbols)
-            )
-            peaks = find_peaks(representation, self.theta)
-            intervals = np.diff(
-                np.asarray([peak.time for peak in peaks], dtype=float)
-            )
+            self.behavior_index.update_symbols(sequence_id, behaviour)
             old_intervals = self.store.rr_intervals_of(sequence_id)
             self.rr_index.replace_tail(sequence_id, old_intervals, intervals)
             self._representations[sequence_id] = representation
@@ -633,7 +599,7 @@ class SequenceDatabase:
             self.local_store.store(sequence_id, representation)
             self.catalog.remove_sequence(sequence_id)
             self.catalog.put(sequence_id, "default", representation)
-            store_items.append((sequence_id, representation, len(peaks), intervals))
+            store_items.append((sequence_id, representation, peak_count, intervals))
         self.store.replace_many(store_items)
         return [len(sequence) for sequence in extended]
 
@@ -676,24 +642,18 @@ class SequenceDatabase:
         representation, local-tier blobs, catalog variants, pattern
         indexes, R-R postings, columnar store rows — is removed, so
         subsequent queries never see the sequence and storage
-        accounting reflects only live data.
+        accounting reflects only live data.  A batch of one through
+        :meth:`delete_many`.
         """
-        self._require(sequence_id)
-        del self._representations[sequence_id]
-        del self._names[sequence_id]
-        self.pattern_index.remove(sequence_id)
-        self.behavior_index.remove(sequence_id)
-        self.rr_index.remove_sequence(sequence_id)
-        self.store.delete(sequence_id)
-        self.local_store.evict(sequence_id)
-        self.catalog.remove_sequence(sequence_id)
+        self.delete_many([sequence_id])
 
     @_mutator
     def delete_many(self, sequence_ids: "Iterable[int]") -> None:
         """Remove many sequences, every index batched (see :meth:`delete`).
 
-        End state is identical to deleting the ids one at a time, but
-        each structure pays its fixed costs once for the batch: the
+        The one deletion path (:meth:`delete` is a batch of one).  End
+        state does not depend on how the ids are split into batches,
+        and each structure pays its fixed costs once per batch: the
         pattern and behaviour tries drop the ids' strings, the inverted
         R-R index filters its postings file once, and the columnar
         store compacts each touched shard's columns in one sweep —
@@ -702,11 +662,12 @@ class SequenceDatabase:
         The whole batch is validated up front; an unknown or duplicate
         id removes nothing.
         """
-        ids = [int(sequence_id) for sequence_id in sequence_ids]
+        requested = list(sequence_ids)
+        for sequence_id in requested:
+            self._require(sequence_id)
+        ids = [int(sequence_id) for sequence_id in requested]
         if len(set(ids)) != len(ids):
             raise QueryError("duplicate sequence ids in delete_many batch")
-        for sequence_id in ids:
-            self._require(sequence_id)
         if not ids:
             return
         for sequence_id in ids:

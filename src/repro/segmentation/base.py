@@ -132,17 +132,18 @@ class Breaker(abc.ABC):
     ) -> "list[FunctionSeriesRepresentation]":
         """Break and represent a whole batch of sequences.
 
-        The batch entry point the database's bulk ingest path and the
-        engine benchmarks call.  Breaking goes through
-        :meth:`break_indices_many` (frontier-batched where the breaker
-        supports it) and the representations are assembled columnarly
-        by :meth:`FunctionSeriesRepresentation.from_breakpoints_many`,
-        which prefills the ``segment_columns`` arrays the engine's
-        column-block append consumes.  Output is identical to calling
-        :meth:`represent` per sequence — subclasses that override
-        :meth:`represent` itself are detected and looped through their
-        override, so per-sequence customizations keep applying to bulk
-        ingest (override this method as well to batch them).
+        The entry point of every database ingest, single or bulk.
+        Breaking goes through :meth:`break_indices_many`
+        (frontier-batched where the breaker supports it) and the
+        representations are fitted by
+        :meth:`FunctionSeriesRepresentation.from_breakpoints_many`, the
+        same fitting loop :meth:`represent` runs, which prefills the
+        ``segment_columns`` arrays the engine's column-block append
+        consumes.  Output is identical to calling :meth:`represent` per
+        sequence — subclasses that override :meth:`represent` itself
+        are detected and looped through their override, so
+        per-sequence customizations keep applying to every ingest
+        (override this method as well to batch them).
         """
         sequences = list(sequences)
         if type(self).represent is not Breaker.represent:

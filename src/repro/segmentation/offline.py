@@ -113,12 +113,16 @@ class RecursiveCurveFitBreaker(Breaker):
         Curve kinds with a registered chord kernel (the endpoint
         interpolation line) break the whole batch through
         :func:`break_frontier`; all other kinds — and any third-party
-        registered fitter — fall back to the scalar per-sequence loop
-        automatically.  Boundaries are identical on both paths.
+        registered fitter — loop :meth:`break_indices` per sequence.
+        Boundaries are identical on both paths.  A subclass that
+        overrides :meth:`break_indices` is looped through its override,
+        the rule :meth:`Breaker.represent_many` applies to
+        :meth:`Breaker.represent`.
         """
         sequences = list(sequences)
         kernel = get_chord_kernel(self.curve_kind)
-        if kernel is None or not sequences:
+        overridden = type(self).break_indices is not RecursiveCurveFitBreaker.break_indices
+        if kernel is None or overridden or not sequences:
             return super().break_indices_many(sequences)
         return break_frontier(sequences, kernel, self.epsilon, self.split_side)
 

@@ -149,27 +149,30 @@ class ArchivalStore:
 
 
 class LocalStore:
-    """Fast local tier holding the compact representations."""
+    """Fast local tier holding the compact representations.
+
+    Blobs are keyed by sequence id, then by variant tag, so evicting or
+    probing one sequence is a single lookup however many are stored.
+    """
 
     def __init__(self, seek_seconds: float = 0.005, bandwidth_bytes_per_s: float = 2e8) -> None:
         if seek_seconds < 0 or bandwidth_bytes_per_s <= 0:
             raise StorageError("invalid latency model")
         self._model = _LatencyModel(seek_seconds, bandwidth_bytes_per_s)
-        self._blobs: dict[tuple[int, str], bytes] = {}
+        self._blobs: dict[int, dict[str, bytes]] = {}
         self.log = AccessLog()
 
     def store(self, sequence_id: int, representation: FunctionSeriesRepresentation, tag: str = "default") -> int:
-        key = (sequence_id, tag)
-        if key in self._blobs:
-            raise StorageError(f"representation {key} already stored")
+        if tag in self._blobs.get(sequence_id, {}):
+            raise StorageError(f"representation {(sequence_id, tag)} already stored")
         blob = encode_representation(representation)
-        self._blobs[key] = blob
+        self._blobs.setdefault(sequence_id, {})[tag] = blob
         self.log.record("write", len(blob), self._model.cost(len(blob)))
         return len(blob)
 
     def retrieve(self, sequence_id: int, tag: str = "default") -> FunctionSeriesRepresentation:
         try:
-            blob = self._blobs[(sequence_id, tag)]
+            blob = self._blobs[sequence_id][tag]
         except KeyError as exc:
             raise StorageError(f"representation {(sequence_id, tag)} not stored") from exc
         self.log.record("read", len(blob), self._model.cost(len(blob)))
@@ -183,16 +186,16 @@ class LocalStore:
         are reclaimed so storage accounting reflects only live data.
         Evicting an unknown sequence frees nothing and is not an error.
         """
-        keys = [key for key in self._blobs if key[0] == sequence_id]
-        return sum(len(self._blobs.pop(key)) for key in keys)
+        return sum(len(blob) for blob in self._blobs.pop(sequence_id, {}).values())
 
     def __contains__(self, key: "tuple[int, str] | int") -> bool:
         if isinstance(key, tuple):
-            return key in self._blobs
-        return any(sid == key for sid, __ in self._blobs)
+            sequence_id, tag = key
+            return tag in self._blobs.get(sequence_id, {})
+        return key in self._blobs
 
     def __len__(self) -> int:
-        return len(self._blobs)
+        return sum(len(variants) for variants in self._blobs.values())
 
     def total_bytes(self) -> int:
-        return sum(len(b) for b in self._blobs.values())
+        return sum(len(blob) for variants in self._blobs.values() for blob in variants.values())

@@ -183,3 +183,32 @@ class TestDecodeSymbolsTypeSafety:
         with pytest.raises(SequenceError, match="invalid symbol codes"):
             decode_symbols(np.array([0.5, -0.5]))  # truncation must not hide these
         assert decode_symbols(np.array([1.0, -1.0, 0.0])) == "+-0"  # exact floats ok
+
+
+class TestReusingFit:
+    def _prefix_and_full(self):
+        seq = vee_sequence()
+        prefix = Sequence(seq.times[:15], seq.values[:15], name=seq.name)
+        previous = FunctionSeriesRepresentation.from_breakpoints(prefix, [(0, 10), (11, 14)])
+        return seq, previous, [(0, 10), (11, 20)]
+
+    def test_reuses_prefix_and_prefills_columns(self):
+        seq, previous, bounds = self._prefix_and_full()
+        reused = FunctionSeriesRepresentation.from_breakpoints_reusing(seq, bounds, previous)
+        assert reused.segments[0] is previous.segments[0]
+        assert reused._columns is not None
+        fresh = FunctionSeriesRepresentation.from_breakpoints(seq, bounds)
+        assert reused.segments == fresh.segments
+        for name, column in fresh.segment_columns().items():
+            assert np.array_equal(reused.segment_columns()[name], column), name
+
+    def test_decoded_previous_builds_columns_lazily(self):
+        from repro.storage.serialization import decode_representation, encode_representation
+
+        seq, previous, bounds = self._prefix_and_full()
+        decoded = decode_representation(encode_representation(previous))
+        reused = FunctionSeriesRepresentation.from_breakpoints_reusing(seq, bounds, decoded)
+        assert reused._columns is None
+        fresh = FunctionSeriesRepresentation.from_breakpoints(seq, bounds)
+        for name, column in fresh.segment_columns().items():
+            assert np.array_equal(reused.segment_columns()[name], column), name

@@ -8,11 +8,14 @@ dead branches after a bulk build.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.errors import IndexError_
 from repro.index import InvertedFileIndex, PatternIndex, SymbolTrie
+from repro.index.inverted import Posting
 
 
 def _random_strings(n: int, seed: int, duplicates: bool = True) -> "list[tuple[int, str]]":
@@ -150,22 +153,37 @@ class TestPatternIndexAddSymbolsMany:
 
 class TestInvertedAddBlock:
     def test_equivalent_to_add_array_loop(self):
+        # The expectation is built here: every posting, bucketed by
+        # floor(value / width), each bucket sorted.
         rng = np.random.default_rng(11)
         payloads = [
             (i, rng.uniform(0.0, 40.0, int(rng.integers(0, 9)))) for i in range(60)
         ]
-        sequential = InvertedFileIndex(bucket_width=1.5)
-        block = InvertedFileIndex(bucket_width=1.5)
+        expected: "dict[int, list[Posting]]" = {}
         for sequence_id, values in payloads:
-            sequential.add_array(sequence_id, values)
-        block.add_block(payloads)
-        block.check_invariants()
-        assert len(block) == len(sequential)
-        assert block.bucket_count() == sequential.bucket_count()
-        for key, bucket in sequential._btree.items():
-            other = dict(block._btree.items())[key]
-            assert bucket.postings == other.postings
-        assert block.sequences_near(20.0, 3.0) == sequential.sequences_near(20.0, 3.0)
+            for position, value in enumerate(values.tolist()):
+                expected.setdefault(math.floor(value / 1.5), []).append(
+                    Posting(value, sequence_id, position)
+                )
+        for postings in expected.values():
+            postings.sort()
+        for build in ("loop", "block"):
+            index = InvertedFileIndex(bucket_width=1.5)
+            if build == "loop":
+                for sequence_id, values in payloads:
+                    index.add_array(sequence_id, values)
+            else:
+                index.add_block(payloads)
+            index.check_invariants()
+            assert len(index) == sum(len(values) for __, values in payloads)
+            assert {key: bucket.postings for key, bucket in index._btree.items()} == expected
+            near = {
+                posting.sequence_id
+                for postings in expected.values()
+                for posting in postings
+                if abs(posting.value - 20.0) <= 3.0
+            }
+            assert index.sequences_near(20.0, 3.0) == sorted(near)
 
     def test_block_accepts_generators_and_lists(self):
         index = InvertedFileIndex()

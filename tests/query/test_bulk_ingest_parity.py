@@ -1,12 +1,14 @@
-"""End-to-end bulk ingest parity: insert_all == repeated insert.
+"""End-to-end bulk ingest parity: the stored state ignores batch splits.
 
-The batched ingest path replaces every per-sequence stage — breaking,
-representation, symbol classification, pattern/behaviour indexing,
-peak extraction, R-R postings, columnar append — with whole-batch
-kernels.  These tests pin the contract: the database state after
-``insert_all`` (or the pipeline) is byte-identical to per-sequence
-``insert``, across plain / normalized / sharded configurations, and
-queries answer identically on both (including the legacy oracle).
+Every ingest runs one batch body — breaking, representation, symbol
+classification, pattern/behaviour indexing, peak extraction, R-R
+postings, columnar append as whole-batch kernels — and ``insert`` is a
+batch of one.  These tests pin the contract: the database state after
+``insert_all`` (or the pipeline, in batches of 13) is byte-identical to
+one ``insert`` per sequence, across plain / normalized / sharded
+configurations, queries answer identically on both (including the
+legacy oracle), and a single insert or delete is still journalled as
+one mutation naming one id.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.query import (
     SteepnessQuery,
 )
 from repro.segmentation import InterpolationBreaker
+from repro.storage.catalog import engine_state_digest
 from repro.workloads import ecg_corpus, fever_corpus
 
 SEGMENT_COLUMNS = (
@@ -148,3 +151,34 @@ def test_insert_all_empty_batch():
     database = SequenceDatabase(breaker=InterpolationBreaker(0.5))
     assert database.insert_all([]) == []
     assert len(database) == 0
+
+
+@pytest.mark.parametrize("n_shards", [1, 4])
+def test_engine_state_digest_matches_one_by_one_build(corpus, n_shards):
+    one_by_one = _build(corpus, batched=False, n_shards=n_shards)
+    whole = SequenceDatabase(breaker=InterpolationBreaker(0.5), n_shards=n_shards)
+    whole.insert_all(corpus)
+    assert engine_state_digest(whole) == engine_state_digest(one_by_one)
+    for sequence_id in one_by_one.ids()[::5]:
+        one_by_one.delete(sequence_id)
+    whole.delete_many(whole.ids()[::5])
+    assert engine_state_digest(whole) == engine_state_digest(one_by_one)
+
+
+@pytest.mark.parametrize("n_shards", [1, 4])
+def test_single_mutations_journal_one_entry_naming_one_id(corpus, n_shards):
+    database = SequenceDatabase(breaker=InterpolationBreaker(0.5), n_shards=n_shards)
+    database.insert_all(corpus[:8])
+
+    def journal_entries():
+        return [entry for shard in database.store.shards() for entry in shard.journal._entries]
+
+    before = journal_entries()
+    inserted = database.insert(corpus[8])
+    (entry,) = [entry for entry in journal_entries() if entry not in before]
+    assert (entry.kind, entry.sequence_ids) == ("insert", (inserted,))
+
+    before = journal_entries()
+    database.delete(3)
+    (entry,) = [entry for entry in journal_entries() if entry not in before]
+    assert (entry.kind, entry.sequence_ids) == ("delete", (3,))

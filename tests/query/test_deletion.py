@@ -47,6 +47,13 @@ class TestDatabaseDelete:
     def test_unknown_delete_rejected(self, db):
         with pytest.raises(QueryError):
             db.delete(999)
+        # Ids are looked up as given, never truncated to a live id.
+        for bad in (2.5, "2"):
+            with pytest.raises(QueryError):
+                db.delete(bad)
+            with pytest.raises(QueryError):
+                db.delete_many([bad])
+        assert len(db) == 8
 
     def test_raw_blob_stays_archived(self, db):
         """Archival media are append-only; deletion is logical."""

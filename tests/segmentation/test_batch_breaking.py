@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.sequence import Sequence
+from repro.functions.fitting import get_fitter
 from repro.functions.linear import LinearFunction
 from repro.segmentation import InterpolationBreaker, RecursiveCurveFitBreaker, is_partition
 from repro.workloads import ecg_corpus, fever_corpus, seismic_corpus, stock_corpus
@@ -84,48 +85,77 @@ class TestBoundaryParity:
         ]
 
 
+def _window_fits(sequence: Sequence, boundaries, curve_kind: str):
+    """Independent expectation: ``get_fitter`` on each window's subsequence.
+
+    Single-point windows get the constant regression line.  Returns the
+    fitted functions and the segment columns they imply.
+    """
+    functions = []
+    columns: "dict[str, list]" = {
+        name: []
+        for name in (
+            "start_index",
+            "end_index",
+            "start_time",
+            "end_time",
+            "start_value",
+            "end_value",
+            "slope",
+        )
+    }
+    for start, end in boundaries:
+        piece = sequence.subsequence(start, end)
+        function = get_fitter(curve_kind if len(piece) > 1 else "regression")(piece)
+        (t0, v0), (t1, v1) = piece[0], piece[-1]
+        functions.append(function)
+        for name, value in zip(columns, (start, end, t0, t1, v0, v1, function.mean_slope(t0, t1))):
+            columns[name].append(value)
+    return functions, {name: np.asarray(values) for name, values in columns.items()}
+
+
 class TestRepresentationParity:
     @pytest.mark.parametrize("curve_kind", ["regression", "interpolation"])
     def test_represent_many_bit_identical(self, curve_kind):
         corpus = WORKLOADS["fever"] + WORKLOADS["random"][:10]
         breaker = InterpolationBreaker(0.5)
-        scalar = [breaker.represent(sequence, curve_kind=curve_kind) for sequence in corpus]
         batch = breaker.represent_many(corpus, curve_kind=curve_kind)
-        for a, b in zip(scalar, batch):
-            assert a.name == b.name
-            assert a.source_length == b.source_length
-            assert a.curve_kind == b.curve_kind
-            assert a.segments == b.segments
-            for sa, sb in zip(a.segments, b.segments):
-                assert sa.function.parameters() == sb.function.parameters()
-                assert sa.start_point == sb.start_point
-                assert sa.end_point == sb.end_point
+        for sequence, b in zip(corpus, batch):
+            assert b.name == sequence.name
+            assert b.source_length == len(sequence)
+            assert b.curve_kind == curve_kind
+            boundaries = breaker.break_indices(sequence)
+            functions, __ = _window_fits(sequence, boundaries, curve_kind)
+            assert [(s.start_index, s.end_index) for s in b.segments] == boundaries
+            for segment, function, (start, end) in zip(b.segments, functions, boundaries):
+                assert segment.function.parameters() == function.parameters()
+                assert segment.start_point == sequence[start]
+                assert segment.end_point == sequence[end]
 
     def test_prefilled_columns_match_lazy_columns(self):
         corpus = WORKLOADS["ecg"][:3] + WORKLOADS["random"][:6]
         breaker = InterpolationBreaker(0.5)
         batch = breaker.represent_many(corpus, curve_kind="regression")
-        scalar = [breaker.represent(sequence, curve_kind="regression") for sequence in corpus]
-        for a, b in zip(scalar, batch):
+        for sequence, b in zip(corpus, batch):
             assert b._columns is not None  # prefilled by the batch path
-            lazy = a.segment_columns()
+            __, expected = _window_fits(sequence, breaker.break_indices(sequence), "regression")
             prefilled = b.segment_columns()
-            assert sorted(lazy) == sorted(prefilled)
-            for name in lazy:
-                assert lazy[name].dtype == prefilled[name].dtype
-                assert np.array_equal(lazy[name], prefilled[name]), name
+            assert sorted(expected) == sorted(prefilled)
+            for name in expected:
+                assert expected[name].dtype == prefilled[name].dtype
+                assert np.array_equal(expected[name], prefilled[name]), name
 
     def test_nonlinear_kind_keeps_lazy_columns(self):
         # poly:2 segments are not plain lines: the batch path must skip
         # the vectorized column prefill, and the lazily built columns
-        # must still agree with the scalar path's.
+        # must still agree with the per-window fits.
         corpus = WORKLOADS["fever"][:3]
         breaker = InterpolationBreaker(0.5)
         batch = breaker.represent_many(corpus, curve_kind="poly:2")
         assert all(b._columns is None for b in batch)
-        scalar = [breaker.represent(sequence, curve_kind="poly:2") for sequence in corpus]
-        for a, b in zip(scalar, batch):
-            for name, column in a.segment_columns().items():
+        for sequence, b in zip(corpus, batch):
+            __, expected = _window_fits(sequence, breaker.break_indices(sequence), "poly:2")
+            for name, column in expected.items():
                 assert np.array_equal(column, b.segment_columns()[name]), name
 
     def test_single_point_windows_use_constant_line(self):
@@ -136,8 +166,10 @@ class TestRepresentationParity:
         sequence = Sequence.from_values(values)
         breaker = InterpolationBreaker(0.0)
         (batch,) = breaker.represent_many([sequence], curve_kind="regression")
-        scalar = breaker.represent(sequence, curve_kind="regression")
-        assert batch.segments == scalar.segments
+        functions, __ = _window_fits(sequence, breaker.break_indices(sequence), "regression")
+        assert [s.function.parameters() for s in batch.segments] == [
+            function.parameters() for function in functions
+        ]
         singletons = [s for s in batch.segments if s.start_index == s.end_index]
         assert singletons
         assert all(
@@ -172,6 +204,24 @@ class TestBatchAssemblyContract:
             [sequence], curve_kind="regression"
         )
         assert representation.name == "x|tagged"
+
+    def test_break_indices_override_applies_to_break_indices_many(self):
+        # A subclass customizing break_indices() must not be bypassed by
+        # the chord-kernel frontier, on the bulk path or in the database.
+        from repro.query import SequenceDatabase
+
+        class OneWindowBreaker(InterpolationBreaker):
+            def break_indices(self, sequence):
+                return [(0, len(sequence) - 1)]
+
+        corpus = WORKLOADS["fever"][:4]
+        breaker = OneWindowBreaker(0.5)
+        assert breaker.break_indices_many(corpus) == [
+            [(0, len(sequence) - 1)] for sequence in corpus
+        ]
+        database = SequenceDatabase(breaker=breaker)
+        ids = [database.insert(corpus[0]), *database.insert_all(corpus[1:])]
+        assert [len(database.representation_of(i)) for i in ids] == [1] * len(corpus)
 
 
 class TestTrialFitMemo:

@@ -96,3 +96,30 @@ class TestLocalStore:
     def test_missing_rejected(self):
         with pytest.raises(StorageError):
             LocalStore().retrieve(0)
+
+    def test_evict_drops_one_sequence_only(self, representation, sequence):
+        store = LocalStore()
+        other = representation.refit(sequence, "interpolation")
+        sizes = {}
+        for sequence_id in (0, 1, 2):
+            sizes[(sequence_id, "default")] = store.store(sequence_id, representation)
+            sizes[(sequence_id, "variant")] = store.store(sequence_id, other, tag="variant")
+        assert store.evict(1) == sizes[(1, "default")] + sizes[(1, "variant")]
+        assert 1 not in store
+        assert (1, "default") not in store
+        for sequence_id in (0, 2):
+            assert sequence_id in store
+            for tag in ("default", "variant"):
+                assert (sequence_id, tag) in store
+                assert store.retrieve(sequence_id, tag).curve_kind == (
+                    "interpolation" if tag == "variant" else "regression"
+                )
+        assert store.evict(1) == 0
+        assert store.evict(99) == 0
+        assert len(store) == 4
+        assert store.total_bytes() == sum(
+            size for (sequence_id, __), size in sizes.items() if sequence_id != 1
+        )
+        # The evicted id can be stored again.
+        store.store(1, representation)
+        assert (1, "default") in store and (1, "variant") not in store
