@@ -1,9 +1,9 @@
 """Function-series representations of sequences.
 
 A :class:`FunctionSeriesRepresentation` is the paper's stored form of a
-sequence: an ordered series of :class:`~repro.core.segment.Segment`
-objects, each carrying a representing function plus its start/end
-points.  It answers the questions the paper's machinery needs:
+sequence: an ordered series of segments, each a representing function
+over an index window plus its sampled start/end points.  It answers the
+questions the paper's machinery needs:
 
 * the slope-sign symbol string over ``{+, -, 0}`` (Section 4.4),
 * reconstruction / interpolation of unsampled points (Section 3),
@@ -12,28 +12,42 @@ points.  It answers the questions the paper's machinery needs:
   *represents* with regression lines, so a representation can be rebuilt
   from the same breakpoints with a different curve kind.
 
-Every construction path (:meth:`~FunctionSeriesRepresentation.from_breakpoints`,
+A representation of line segments (the regression and interpolation
+kinds, which every workload uses) holds only NumPy arrays: the
+:meth:`~FunctionSeriesRepresentation.segment_columns` (index window,
+sampled endpoints, mean slope) and the lines' slope and intercept.
+:meth:`~FunctionSeriesRepresentation.from_breakpoints_many` fits a whole
+batch with one segmented least-squares kernel (or the endpoint chords),
 the append path's :meth:`~FunctionSeriesRepresentation.from_breakpoints_reusing`
-and bulk ingest) fits through the one batch loop of
-:meth:`~FunctionSeriesRepresentation.from_breakpoints_many`.  A
-representation of line segments (the regression and interpolation
-kinds) therefore leaves construction with its
-:meth:`~FunctionSeriesRepresentation.segment_columns` already filled,
-and its slopes, symbols and peaks are read from those arrays.  Only
-other curve kinds and representations decoded from a blob build the
-columns by walking their segments.
+slices and joins those arrays, and the codec packs and unpacks them
+directly, so no write path builds a per-segment object.  The object API
+(``segments``, iteration, indexing, :meth:`~FunctionSeriesRepresentation.segment_at`)
+builds :class:`~repro.core.segment.Segment` and
+:class:`~repro.functions.linear.LinearFunction` objects on demand.
+Other curve kinds (Bézier, polynomial, sinusoid) hold their
+:class:`~repro.core.segment.Segment` objects and build the columns on
+first use.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence as TypingSequence
+from typing import Iterator, Sequence as TypingSequence, overload
 
 import numpy as np
 
 from repro.core.errors import SequenceError
 from repro.core.segment import Segment
 from repro.core.sequence import Sequence
+from repro.functions.base import FittedFunction
 from repro.functions.fitting import get_fitter
+from repro.functions.linear import (
+    LinearFunction,
+    check_index_windows,
+    fit_interpolation_line,
+    fit_interpolation_lines,
+    fit_regression_line,
+    regression_lines,
+)
 
 __all__ = [
     "FunctionSeriesRepresentation",
@@ -50,6 +64,10 @@ SYMBOL_CODES = {"+": 1, "-": -1, "0": 0}
 
 #: Code → symbol, indexed by ``code + 1``.
 _CODE_TO_SYMBOL = np.array(["-", "0", "+"])
+
+#: The index and endpoint columns of :meth:`FunctionSeriesRepresentation.segment_columns`,
+#: in order; the seventh column, ``slope``, is derived from the functions.
+_GEOMETRY_COLUMNS = ("start_index", "end_index", "start_time", "end_time", "start_value", "end_value")
 
 
 def classify_slopes(
@@ -130,55 +148,46 @@ def symbols_from_slopes(
     return symbols
 
 
-def _prefill_linear_columns(
-    representations: "list[FunctionSeriesRepresentation]",
-    sequences: "TypingSequence[Sequence]",
-    boundaries_list: "TypingSequence[TypingSequence[tuple[int, int]]]",
-    line_slopes: "list[float]",
-    line_intercepts: "list[float]",
-) -> None:
-    """Vectorized ``segment_columns`` for batches of line segments.
+def _secant_slopes(
+    slope: np.ndarray, intercept: np.ndarray, start_time: np.ndarray, end_time: np.ndarray
+) -> np.ndarray:
+    """Mean slope of each line over its segment: the ``slope`` column.
 
-    Values are bit-identical to the lazy per-segment loop: the index
-    and endpoint columns are gathers of the same stored scalars, and
-    the mean-slope column evaluates the identical secant expression
-    ``FittedFunction.mean_slope`` computes (falling back to the line's
-    own slope — its derivative — for zero-duration single-point
-    segments), elementwise over the whole sequence.
+    The secant expression ``FittedFunction.mean_slope`` evaluates on
+    Python floats, elementwise — so bit-identical to the object API —
+    falling back to the line's own slope (its derivative) for
+    zero-duration single-point segments.  For a line the secant equals
+    the slope up to rounding; classification reads this column, never
+    the line slope.
     """
-    fn_slopes = np.asarray(line_slopes, dtype=np.float64)
-    fn_intercepts = np.asarray(line_intercepts, dtype=np.float64)
-    position = 0
-    for representation, sequence, boundaries in zip(representations, sequences, boundaries_list):
-        window = np.asarray(boundaries, dtype=np.int64).reshape(-1, 2)
-        n = len(window)
-        start_index = np.ascontiguousarray(window[:, 0])
-        end_index = np.ascontiguousarray(window[:, 1])
-        start_time = sequence.times[start_index]
-        end_time = sequence.times[end_index]
-        slopes = fn_slopes[position : position + n]
-        intercepts = fn_intercepts[position : position + n]
-        position += n
-        span = end_time - start_time
-        with np.errstate(invalid="ignore", divide="ignore"):
-            secant = (
-                (slopes * end_time + intercepts) - (slopes * start_time + intercepts)
-            ) / span
-        representation._columns = {
-            "start_index": start_index,
-            "end_index": end_index,
-            "start_time": start_time,
-            "end_time": end_time,
-            "start_value": sequence.values[start_index],
-            "end_value": sequence.values[end_index],
-            "slope": np.where(span == 0.0, slopes, secant),
-        }
+    span = end_time - start_time
+    with np.errstate(invalid="ignore", divide="ignore"):
+        secant = ((slope * end_time + intercept) - (slope * start_time + intercept)) / span
+    return np.where(span == 0.0, slope, secant)
+
+
+def _check_order(start_index: np.ndarray, end_index: np.ndarray) -> None:
+    """Reject an empty segment list or one whose windows overlap."""
+    if len(start_index) == 0:
+        raise SequenceError("a representation needs at least one segment")
+    overlap = start_index[1:] <= end_index[:-1]
+    if bool(overlap.any()):
+        i = int(np.argmax(overlap))
+        raise SequenceError(
+            f"segments overlap: [{start_index[i]}..{end_index[i]}] then "
+            f"[{start_index[i + 1]}..{end_index[i + 1]}]"
+        )
 
 
 class FunctionSeriesRepresentation:
-    """An ordered series of function segments standing in for a sequence."""
+    """An ordered series of function segments standing in for a sequence.
 
-    __slots__ = ("segments", "name", "source_length", "curve_kind", "epsilon", "_columns")
+    Line representations hold only arrays: the :meth:`segment_columns`
+    and the lines' slope/intercept columns.  Other curve kinds hold
+    their :class:`Segment` objects and build the columns on first use.
+    """
+
+    __slots__ = ("name", "source_length", "curve_kind", "epsilon", "_columns", "_lines", "_segments")
 
     def __init__(
         self,
@@ -188,21 +197,39 @@ class FunctionSeriesRepresentation:
         curve_kind: str = "",
         epsilon: float = 0.0,
     ) -> None:
-        seg_list = list(segments)
-        if not seg_list:
-            raise SequenceError("a representation needs at least one segment")
-        for prev, nxt in zip(seg_list, seg_list[1:]):
-            if nxt.start_index <= prev.end_index:
-                raise SequenceError(
-                    f"segments overlap: [{prev.start_index}..{prev.end_index}] then "
-                    f"[{nxt.start_index}..{nxt.end_index}]"
-                )
-        self.segments = tuple(seg_list)
+        seg_tuple = tuple(segments)
+        _check_order(
+            np.array([s.start_index for s in seg_tuple], dtype=np.int64),
+            np.array([s.end_index for s in seg_tuple], dtype=np.int64),
+        )
+        self._segments: "tuple[Segment, ...] | None" = seg_tuple
+        self._columns: "dict[str, np.ndarray] | None" = None
+        self._lines: "tuple[np.ndarray, np.ndarray] | None" = None
         self.name = name
-        self.source_length = source_length or (seg_list[-1].end_index + 1)
+        self.source_length = source_length or (seg_tuple[-1].end_index + 1)
         self.curve_kind = curve_kind
         self.epsilon = epsilon
-        self._columns: "dict[str, np.ndarray] | None" = None
+
+    @classmethod
+    def _of_lines(
+        cls,
+        columns: "dict[str, np.ndarray]",
+        lines: "tuple[np.ndarray, np.ndarray]",
+        name: str,
+        source_length: int,
+        curve_kind: str,
+        epsilon: float,
+    ) -> "FunctionSeriesRepresentation":
+        """Adopt already-checked column arrays as a line representation."""
+        representation = object.__new__(cls)
+        representation._segments = None
+        representation._columns = columns
+        representation._lines = lines
+        representation.name = name
+        representation.source_length = source_length or int(columns["end_index"][-1]) + 1
+        representation.curve_kind = curve_kind
+        representation.epsilon = epsilon
+        return representation
 
     # ------------------------------------------------------------------
     # Construction
@@ -228,6 +255,49 @@ class FunctionSeriesRepresentation:
         )[0]
 
     @classmethod
+    def from_line_columns(
+        cls,
+        columns: "dict[str, np.ndarray]",
+        slope: np.ndarray,
+        intercept: np.ndarray,
+        name: str = "",
+        source_length: int = 0,
+        curve_kind: str = "",
+        epsilon: float = 0.0,
+    ) -> "FunctionSeriesRepresentation":
+        """A line representation from its stored per-segment arrays.
+
+        ``columns`` holds the six index and endpoint columns of
+        :meth:`segment_columns` (everything but ``slope``, which is
+        derived here); ``slope``/``intercept`` are the lines'
+        coefficients.  Applies the checks the :class:`Segment` and
+        representation constructors apply, with the same messages.
+        """
+        columns = {
+            column: np.ascontiguousarray(columns[column], dtype=np.int64 if i < 2 else np.float64)
+            for i, column in enumerate(_GEOMETRY_COLUMNS)
+        }
+        start_index = columns["start_index"]
+        end_index = columns["end_index"]
+        backwards = np.flatnonzero(end_index < start_index)
+        if backwards.size:
+            i = backwards[0]
+            raise SequenceError(
+                f"segment end index {end_index[i]} precedes start index {start_index[i]}"
+            )
+        if bool(np.any(columns["end_time"] < columns["start_time"])):
+            raise SequenceError("segment end time precedes start time")
+        _check_order(start_index, end_index)
+        slope = np.ascontiguousarray(slope, dtype=np.float64)
+        intercept = np.ascontiguousarray(intercept, dtype=np.float64)
+        columns["slope"] = _secant_slopes(
+            slope, intercept, columns["start_time"], columns["end_time"]
+        )
+        return cls._of_lines(
+            columns, (slope, intercept), name, source_length, curve_kind, epsilon
+        )
+
+    @classmethod
     def from_breakpoints_many(
         cls,
         sequences: "TypingSequence[Sequence]",
@@ -237,67 +307,48 @@ class FunctionSeriesRepresentation:
     ) -> "list[FunctionSeriesRepresentation]":
         """Fit ``curve_kind`` to every window of a batch of sequences.
 
-        The one fitting loop every construction path runs through
+        The one fitting path every construction runs through
         (:meth:`from_breakpoints` is a batch of one and
         :meth:`from_breakpoints_reusing` fits its changed suffix here).
-        Each window's curve is fitted on a zero-copy view of its samples
-        — bit-identical to ``get_fitter(curve_kind)`` on
-        ``sequence.subsequence(start, end)`` — and a single-point window
-        gets the constant regression line.  When every fitted function
-        is a plain line, each representation's :meth:`segment_columns`
-        memo is prefilled with vectorized column arrays (endpoint
-        gathers and mean slopes in a handful of NumPy calls per
-        sequence), which the engine's column-block append and the
-        symbol and peak derivation consume without touching the segment
-        objects.
+        Every window is checked first, as array predicates over each
+        sequence's windows.  The two line kinds then fit the whole batch
+        at once — :func:`~repro.functions.linear.regression_lines` over
+        the concatenated samples, or the endpoint chords of
+        :func:`~repro.functions.linear.fit_interpolation_lines` — and
+        each representation holds slices of the batch's column arrays;
+        a window's coefficients are bit-identical to
+        ``get_fitter(curve_kind)`` on ``sequence.subsequence(start,
+        end)``, and a single-point window gets the constant line.  Other
+        curve kinds fit window by window into :class:`Segment` objects.
         """
         if len(sequences) != len(boundaries_list):
             raise SequenceError(
                 f"sequences ({len(sequences)}) and boundaries ({len(boundaries_list)}) disagree"
             )
-        from repro.functions.linear import (
-            LinearFunction,
-            fit_interpolation_line,
-            fit_regression_line,
-            regression_coefficients,
-        )
-
-        fitter = get_fitter(curve_kind)
-        # The two linear workhorse kinds fit straight off the window's
-        # array slices — no per-window Sequence construction, same
-        # coefficients bit for bit (see regression_coefficients).
-        fast_regression = fitter is fit_regression_line
-        fast_interpolation = fitter is fit_interpolation_line
-        representations: "list[FunctionSeriesRepresentation]" = []
-        line_slopes: "list[float]" = []
-        line_intercepts: "list[float]" = []
-        all_linear = True
+        windows = []
         for sequence, boundaries in zip(sequences, boundaries_list):
+            window = np.asarray(boundaries, dtype=np.int64).reshape(-1, 2)
+            check_index_windows(window[:, 0], window[:, 1], len(sequence))
+            _check_order(window[:, 0], window[:, 1])
+            windows.append(window)
+        if not windows:
+            return []
+        fitter = get_fitter(curve_kind)
+        if fitter is fit_regression_line or fitter is fit_interpolation_line:
+            return cls._fit_lines(
+                sequences, windows, fitter is fit_regression_line, curve_kind, epsilon
+            )
+
+        representations = []
+        for sequence, window in zip(sequences, windows):
             times = sequence.times
             values = sequence.values
-            length = len(sequence)
             segments = []
-            for start, end in boundaries:
-                if start < 0 or end >= length or start > end:
-                    # The rejection Sequence.subsequence applies — the
-                    # fast paths below slice raw arrays and would
-                    # otherwise wrap negatives.
-                    raise SequenceError(
-                        f"invalid index window [{start}, {end}] for length {length}"
-                    )
+            for start, end in window.tolist():
                 if end == start:
                     # A single point cannot be fitted by most families;
                     # use a regression (constant) line.
-                    function = LinearFunction(0.0, float(values[start]))
-                elif fast_regression:
-                    slope, intercept = regression_coefficients(
-                        times[start : end + 1], values[start : end + 1]
-                    )
-                    function = LinearFunction(slope, intercept)
-                elif fast_interpolation:
-                    t0 = times[start]
-                    slope = (values[end] - values[start]) / (times[end] - t0)
-                    function = LinearFunction(slope, values[start] - slope * t0)
+                    function: FittedFunction = LinearFunction(0.0, float(values[start]))
                 else:
                     function = fitter(sequence.window(start, end))
                 segments.append(
@@ -309,12 +360,6 @@ class FunctionSeriesRepresentation:
                         (float(times[end]), float(values[end])),
                     )
                 )
-                if all_linear:
-                    if type(function) is LinearFunction:
-                        line_slopes.append(function.slope)
-                        line_intercepts.append(function.intercept)
-                    else:
-                        all_linear = False
             representations.append(
                 cls(
                     segments,
@@ -324,10 +369,67 @@ class FunctionSeriesRepresentation:
                     epsilon=epsilon,
                 )
             )
+        return representations
 
-        if all_linear:
-            _prefill_linear_columns(
-                representations, sequences, boundaries_list, line_slopes, line_intercepts
+    @classmethod
+    def _fit_lines(
+        cls,
+        sequences: "TypingSequence[Sequence]",
+        windows: "list[np.ndarray]",
+        regression: bool,
+        curve_kind: str,
+        epsilon: float,
+    ) -> "list[FunctionSeriesRepresentation]":
+        """One line fit (regression or chord) over a batch of checked windows."""
+        counts = [len(window) for window in windows]
+        lengths = np.array([len(sequence) for sequence in sequences], dtype=np.int64)
+        bases = np.zeros(len(lengths), dtype=np.int64)
+        np.cumsum(lengths[:-1], out=bases[1:])
+        window = np.concatenate(windows)
+        start_index = np.ascontiguousarray(window[:, 0])
+        end_index = np.ascontiguousarray(window[:, 1])
+        shift = np.repeat(bases, counts)
+        starts = start_index + shift
+        ends = end_index + shift
+        times = np.concatenate([sequence.times for sequence in sequences])
+        values = np.concatenate([sequence.values for sequence in sequences])
+        start_time = times[starts]
+        end_time = times[ends]
+        start_value = values[starts]
+        end_value = values[ends]
+        if regression:
+            slope, intercept = regression_lines(times, values, starts, ends)
+        else:
+            single = starts == ends
+            with np.errstate(invalid="ignore", divide="ignore"):
+                slope, intercept = fit_interpolation_lines(
+                    start_time, start_value, end_time, end_value
+                )
+            slope = np.where(single, 0.0, slope)
+            intercept = np.where(single, start_value, intercept)
+        flat = {
+            "start_index": start_index,
+            "end_index": end_index,
+            "start_time": start_time,
+            "end_time": end_time,
+            "start_value": start_value,
+            "end_value": end_value,
+            "slope": _secant_slopes(slope, intercept, start_time, end_time),
+        }
+        representations = []
+        position = 0
+        for sequence, count in zip(sequences, counts):
+            rows = slice(position, position + count)
+            position += count
+            representations.append(
+                cls._of_lines(
+                    {name: column[rows] for name, column in flat.items()},
+                    (slope[rows], intercept[rows]),
+                    sequence.name,
+                    len(sequence),
+                    curve_kind,
+                    epsilon,
+                )
             )
         return representations
 
@@ -343,55 +445,61 @@ class FunctionSeriesRepresentation:
         """Suffix-only :meth:`from_breakpoints` for appends.
 
         ``previous`` is the representation of a *prefix* of
-        ``sequence`` (the pre-append data); every leading window of
-        ``boundaries`` that matches one of ``previous``'s windows
-        exactly reuses its fitted :class:`Segment` verbatim — segments
-        are immutable and were fitted on identical samples, so reuse is
-        bit-identical to refitting — and only the remaining (changed)
-        suffix windows are fitted, through :meth:`from_breakpoints_many`.
-        The reused rows of ``previous``'s memoized columns are joined to
-        the suffix's prefilled ones.  The result equals
-        ``from_breakpoints(sequence, boundaries, ...)`` byte for byte,
-        at the cost of the suffix alone.
+        ``sequence`` (the pre-append data).  The leading windows of
+        ``boundaries`` that equal ``previous``'s, found by one compare
+        over its index columns, keep their fitted rows verbatim — they
+        were fitted on identical samples, so reuse is bit-identical to
+        refitting — and only the remaining (changed) suffix windows are
+        fitted, through :meth:`from_breakpoints_many`.  For line
+        representations the reused rows are array slices joined to the
+        suffix's arrays.  The result equals ``from_breakpoints(sequence,
+        boundaries, ...)`` byte for byte, at the cost of the suffix
+        alone.
         """
-        reuse = 0
-        prev_segments = previous.segments
-        for segment, (start, end) in zip(prev_segments, boundaries):
-            if segment.start_index == start and segment.end_index == end:
-                reuse += 1
-            else:
-                break
-        segments = list(prev_segments[:reuse])
-        columns = None
-        if previous._columns is not None:
-            columns = {name: column[:reuse] for name, column in previous._columns.items()}
-        if reuse < len(boundaries):
-            suffix = cls.from_breakpoints_many(
-                [sequence], [boundaries[reuse:]], curve_kind=curve_kind, epsilon=epsilon
-            )[0]
-            segments.extend(suffix.segments)
-            if columns is not None and suffix._columns is not None:
-                columns = {
-                    name: np.concatenate([column, suffix._columns[name]])
-                    for name, column in columns.items()
-                }
-            else:
-                columns = None
-        representation = cls(
-            segments,
-            name=sequence.name,
-            source_length=len(sequence),
-            curve_kind=curve_kind,
-            epsilon=epsilon,
+        window = np.asarray(boundaries, dtype=np.int64).reshape(-1, 2)
+        previous_columns = previous.segment_columns()
+        k = min(len(window), len(previous_columns["start_index"]))
+        same = (previous_columns["start_index"][:k] == window[:k, 0]) & (
+            previous_columns["end_index"][:k] == window[:k, 1]
         )
-        representation._columns = columns
-        return representation
+        reuse = k if bool(same.all()) else int(np.argmin(same))
+        suffix = None
+        if reuse < len(window):
+            suffix = cls.from_breakpoints_many(
+                [sequence], [window[reuse:]], curve_kind=curve_kind, epsilon=epsilon
+            )[0]
+        previous_lines = previous._lines
+        suffix_lines = None if suffix is None else suffix._lines
+        if previous_lines is None or (suffix is not None and suffix_lines is None):
+            segments = list(previous.segments[:reuse])
+            if suffix is not None:
+                segments.extend(suffix.segments)
+            return cls(
+                segments,
+                name=sequence.name,
+                source_length=len(sequence),
+                curve_kind=curve_kind,
+                epsilon=epsilon,
+            )
+        columns = {name: column[:reuse] for name, column in previous_columns.items()}
+        slope, intercept = (column[:reuse] for column in previous_lines)
+        if suffix is not None and suffix_lines is not None:
+            suffix_columns = suffix.segment_columns()
+            columns = {
+                name: np.concatenate([column, suffix_columns[name]])
+                for name, column in columns.items()
+            }
+            slope = np.concatenate([slope, suffix_lines[0]])
+            intercept = np.concatenate([intercept, suffix_lines[1]])
+        _check_order(columns["start_index"], columns["end_index"])
+        return cls._of_lines(
+            columns, (slope, intercept), sequence.name, len(sequence), curve_kind, epsilon
+        )
 
     def refit(self, sequence: Sequence, curve_kind: str) -> "FunctionSeriesRepresentation":
         """The same breakpoints, represented by a different curve kind."""
-        boundaries = [(s.start_index, s.end_index) for s in self.segments]
         rep = FunctionSeriesRepresentation.from_breakpoints(
-            sequence, boundaries, curve_kind=curve_kind, epsilon=self.epsilon
+            sequence, self.windows(), curve_kind=curve_kind, epsilon=self.epsilon
         )
         rep.name = self.name
         return rep
@@ -400,19 +508,57 @@ class FunctionSeriesRepresentation:
     # Container protocol
     # ------------------------------------------------------------------
 
+    def line_coefficients(self) -> "tuple[np.ndarray, np.ndarray] | None":
+        """The lines' ``(slope, intercept)`` columns; ``None`` when segment-backed."""
+        return self._lines
+
+    @property
+    def segments(self) -> "tuple[Segment, ...]":
+        """The segments in order; built from the arrays for line kinds."""
+        if self._segments is not None:
+            return self._segments
+        return tuple(self._line_segments(0, len(self)))
+
+    def _line_segments(self, lo: int, hi: int) -> "list[Segment]":
+        """:class:`Segment` objects for rows ``lo..hi-1`` of a line representation."""
+        columns = self._columns
+        assert columns is not None and self._lines is not None
+        rows = [
+            column[lo:hi].tolist()
+            for column in (
+                *self._lines,
+                *(columns[name] for name in _GEOMETRY_COLUMNS),
+            )
+        ]
+        return [
+            Segment.trusted(LinearFunction(a, b), s, e, (st, sv), (et, ev))
+            for a, b, s, e, st, et, sv, ev in zip(*rows)
+        ]
+
     def __len__(self) -> int:
-        return len(self.segments)
+        if self._segments is not None:
+            return len(self._segments)
+        return len(self.segment_columns()["start_index"])
 
     def __iter__(self) -> Iterator[Segment]:
         return iter(self.segments)
 
-    def __getitem__(self, index: int) -> Segment:
-        return self.segments[index]
+    @overload
+    def __getitem__(self, index: int) -> Segment: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> "tuple[Segment, ...]": ...
+
+    def __getitem__(self, index: "int | slice") -> "Segment | tuple[Segment, ...]":
+        if self._segments is not None or isinstance(index, slice):
+            return self.segments[index]
+        row = range(len(self))[index]
+        return self._line_segments(row, row + 1)[0]
 
     def __repr__(self) -> str:
         label = f" name={self.name!r}" if self.name else ""
         return (
-            f"FunctionSeriesRepresentation(segments={len(self.segments)},{label} "
+            f"FunctionSeriesRepresentation(segments={len(self)},{label} "
             f"kind={self.curve_kind!r}, source_length={self.source_length})"
         )
 
@@ -422,18 +568,23 @@ class FunctionSeriesRepresentation:
 
     @property
     def start_time(self) -> float:
-        return self.segments[0].start_time
+        return float(self.segment_columns()["start_time"][0])
 
     @property
     def end_time(self) -> float:
-        return self.segments[-1].end_time
+        return float(self.segment_columns()["end_time"][-1])
+
+    def windows(self) -> "list[tuple[int, int]]":
+        """The ``(start_index, end_index)`` window of every segment."""
+        columns = self.segment_columns()
+        return list(zip(columns["start_index"].tolist(), columns["end_index"].tolist()))
 
     def breakpoints(self) -> list[int]:
         """Start indices of every segment after the first."""
-        return [s.start_index for s in self.segments[1:]]
+        return self.segment_columns()["start_index"][1:].tolist()
 
     def breakpoint_times(self) -> list[float]:
-        return [s.start_time for s in self.segments[1:]]
+        return self.segment_columns()["start_time"][1:].tolist()
 
     def segment_at(self, t: float) -> Segment:
         """The segment whose time span covers ``t``.
@@ -443,12 +594,8 @@ class FunctionSeriesRepresentation:
         """
         if not (self.start_time <= t <= self.end_time):
             raise SequenceError(f"time {t} outside representation span")
-        chosen = self.segments[0]
-        for segment in self.segments:
-            if segment.start_time > t:
-                break
-            chosen = segment
-        return chosen
+        starts = self.segment_columns()["start_time"]
+        return self[max(int(np.searchsorted(starts, t, side="right")) - 1, 0)]
 
     # ------------------------------------------------------------------
     # Behaviour: symbols and slopes
@@ -467,14 +614,17 @@ class FunctionSeriesRepresentation:
         the scalars the per-segment accessors return, so vectorized
         consumers and the object API always agree.
 
-        The columns are built once and memoized (segments are immutable
-        after construction); treat the returned arrays as read-only —
-        every consumer (the columnar store, shape signatures, exemplar
-        digests) copies or derives rather than mutating them.
+        A line representation *is* these arrays (plus its lines'
+        coefficients); other curve kinds build them once from their
+        segments and memoize them.  Treat the returned arrays as
+        read-only — every consumer (the columnar store, shape
+        signatures, exemplar digests) copies or derives rather than
+        mutating them.
         """
         if self._columns is not None:
             return self._columns
-        n = len(self.segments)
+        segments = self.segments
+        n = len(segments)
         columns = {
             "start_index": np.empty(n, dtype=np.int64),
             "end_index": np.empty(n, dtype=np.int64),
@@ -484,7 +634,7 @@ class FunctionSeriesRepresentation:
             "end_value": np.empty(n, dtype=np.float64),
             "slope": np.empty(n, dtype=np.float64),
         }
-        for i, segment in enumerate(self.segments):
+        for i, segment in enumerate(segments):
             columns["start_index"][i] = segment.start_index
             columns["end_index"][i] = segment.end_index
             columns["start_time"][i] = segment.start_point[0]
@@ -567,7 +717,7 @@ class FunctionSeriesRepresentation:
             codec in :mod:`repro.storage.serialization` actually writes.
         """
         if convention == "paper":
-            return 3 * len(self.segments)
+            return 3 * len(self)
         if convention == "full":
             per_segment_endpoints = 4  # start time/value + end time/value
             return sum(s.function.parameter_count + per_segment_endpoints for s in self.segments)

@@ -9,16 +9,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.errors import FittingError
+from repro.core.errors import FittingError, SequenceError
 from repro.core.sequence import Sequence
 from repro.functions.base import FittedFunction
 
 __all__ = [
     "LinearFunction",
+    "check_index_windows",
     "fit_interpolation_line",
     "fit_interpolation_lines",
     "fit_regression_line",
     "regression_coefficients",
+    "regression_lines",
 ]
 
 
@@ -107,27 +109,83 @@ def fit_interpolation_lines(
     return slope, v0 - slope * t0
 
 
+def check_index_windows(starts: np.ndarray, ends: np.ndarray, length: int) -> None:
+    """Reject the first window that is empty, negative or past ``length``.
+
+    ``starts``/``ends`` are inclusive int64 index columns; the message
+    names the window as ``Sequence.subsequence`` would reject it.
+    """
+    bad = (starts < 0) | (ends >= length) | (starts > ends)
+    if bool(bad.any()):
+        i = int(np.argmax(bad))
+        raise SequenceError(f"invalid index window [{starts[i]}, {ends[i]}] for length {length}")
+
+
+def regression_lines(
+    times: np.ndarray, values: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Least-squares lines of many index windows at once.
+
+    ``starts``/``ends`` are inclusive index windows into the flat
+    ``times``/``values`` arrays (a batch's sequences concatenated, times
+    non-decreasing within each window).  Every window's samples are
+    gathered into one array, and the per-window means and centred sums
+    come from ``np.add.reduceat`` over it: the slope is
+    ``sum(tc * vc) / sum(tc * tc)`` with ``tc``/``vc`` the window's
+    centred times and values, and the intercept ``v_mean - slope *
+    t_mean``.  A reduceat slice sums its first element plus the
+    pairwise sum of the rest, which depends on that window's samples
+    alone, so a window's coefficients are bit-identical whatever batch
+    it is fitted in — a batch of one included, which is what
+    :func:`regression_coefficients` and :func:`fit_regression_line` are.
+    A one-point window gets the constant line through its value.
+
+    Raises
+    ------
+    SequenceError
+        If a window is empty, negative or runs past the arrays.
+    FittingError
+        If a window of two or more points has no time spread.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    check_index_windows(starts, ends, len(times))
+    if starts.size == 0:
+        return np.empty(0), np.empty(0)
+    counts = ends - starts + 1
+    offsets = counts.cumsum() - counts
+    # Sample j of the gathered array sits at times[starts[w] + j - offsets[w]].
+    gather = np.arange(int(offsets[-1] + counts[-1]), dtype=np.int64) + np.repeat(
+        starts - offsets, counts
+    )
+    t = times[gather]
+    v = values[gather]
+    t_mean = np.add.reduceat(t, offsets) / counts
+    v_mean = np.add.reduceat(v, offsets) / counts
+    t_centered = t - np.repeat(t_mean, counts)
+    v_centered = v - np.repeat(v_mean, counts)
+    sxx = np.add.reduceat(t_centered * t_centered, offsets)
+    sxy = np.add.reduceat(t_centered * v_centered, offsets)
+    single = counts == 1
+    # Equal times need not centre to exact zeros (their mean can round
+    # off), so a flat window is found by its first and last times.
+    if bool(np.any((times[starts] == times[ends]) & ~single)):
+        raise FittingError("degenerate time span")
+    # A one-point window centres to zeros: slope 0 / (0 + 1), intercept its value.
+    slope = sxy / (sxx + single)
+    return slope, np.where(single, v_mean, v_mean - slope * t_mean)
+
+
 def regression_coefficients(times: np.ndarray, values: np.ndarray) -> "tuple[float, float]":
     """``(slope, intercept)`` of the least-squares line through arrays.
 
-    The array-level core of :func:`fit_regression_line`, callable
-    without constructing a :class:`Sequence` — the batched
-    representation assembly fits tens of thousands of tiny windows and
-    cannot afford per-window object construction.  ``np.add.reduce`` is
-    the same pairwise summation ``ndarray.mean`` dispatches to, so the
-    coefficients are bit-identical to the mean-based formulation.
-
-    Callers guarantee at least two samples.
+    A batch of one window through :func:`regression_lines`, callable
+    without constructing a :class:`Sequence`, so its coefficients are
+    bit-identical to the same window's in any batch.  Callers guarantee
+    at least one sample.
     """
-    n = times.size
-    t_mean = np.add.reduce(times) / n
-    v_mean = np.add.reduce(values) / n
-    t_centered = times - t_mean
-    denom = float(np.dot(t_centered, t_centered))
-    if denom == 0.0:
-        raise FittingError("degenerate time span")
-    slope = float(np.dot(t_centered, values - v_mean)) / denom
-    return slope, v_mean - slope * t_mean
+    slope, intercept = regression_lines(times, values, [0], [len(times) - 1])
+    return float(slope[0]), float(intercept[0])
 
 
 def fit_regression_line(sequence: Sequence) -> LinearFunction:
@@ -136,8 +194,5 @@ def fit_regression_line(sequence: Sequence) -> LinearFunction:
     For single-point input the fit degenerates to the constant function
     at that value, which is the natural zero-error representation.
     """
-    if len(sequence) == 1:
-        __, v = sequence[0]
-        return LinearFunction(0.0, v)
     slope, intercept = regression_coefficients(sequence.times, sequence.values)
     return LinearFunction(slope, intercept)

@@ -91,8 +91,9 @@ def find_pattern_spans(
     compiled = SymbolPattern.compile(pattern)
     symbols = representation.symbol_string(theta)
     spans = []
+    segments = representation.segments
     for start, end in compiled.finditer(symbols):
-        segs = representation.segments[start:end]
+        segs = segments[start:end]
         spans.append(
             SegmentMatch(
                 first_segment=start,

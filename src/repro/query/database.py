@@ -560,13 +560,7 @@ class SequenceDatabase:
                 normalized, curve_kind=self.curve_kind
             )
         else:
-            previous = [
-                [
-                    (segment.start_index, segment.end_index)
-                    for segment in self._representations[sequence_id].segments
-                ]
-                for sequence_id in ids
-            ]
+            previous = [self._representations[sequence_id].windows() for sequence_id in ids]
             boundaries = self.breaker.extend_indices_many(list(zip(extended, previous)))
             representations = [
                 FunctionSeriesRepresentation.from_breakpoints_reusing(

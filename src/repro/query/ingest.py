@@ -7,13 +7,14 @@ maintenance, a columnar append — once per call.  The
 batches through :meth:`~repro.query.database.SequenceDatabase.insert_all`,
 which is columnar end to end: one frontier-batched
 :meth:`~repro.segmentation.base.Breaker.break_indices_many` recursion
-over every sequence in the batch at once, representations assembled
-with prefilled ``segment_columns``, one slope classification and
-symbol decode for the whole batch feeding both pattern-index views
-through their bulk ``add_symbols_many`` entry points, peaks and R-R
-intervals derived by :func:`~repro.core.features.find_peaks_many` and
-posted as one inverted-index block, and one whole column-block append
-per touched shard.  Flushed state is bit-identical to per-sequence
+over every sequence in the batch at once, one segmented least-squares
+fit of every window into array-backed representations, one slope
+classification and symbol decode for the whole batch feeding both
+pattern-index views through their bulk ``add_symbols_many`` entry
+points, peaks and R-R intervals derived by
+:func:`~repro.core.features.find_peaks_many` and posted as one
+inverted-index block, and one whole column-block append per touched
+shard.  Flushed state is bit-identical to per-sequence
 inserts; the per-call Python and NumPy overhead is paid per *batch*
 instead of per sequence.
 

@@ -137,13 +137,14 @@ class Breaker(abc.ABC):
         (frontier-batched where the breaker supports it) and the
         representations are fitted by
         :meth:`FunctionSeriesRepresentation.from_breakpoints_many`, the
-        same fitting loop :meth:`represent` runs, which prefills the
-        ``segment_columns`` arrays the engine's column-block append
-        consumes.  Output is identical to calling :meth:`represent` per
-        sequence — subclasses that override :meth:`represent` itself
-        are detected and looped through their override, so
-        per-sequence customizations keep applying to every ingest
-        (override this method as well to batch them).
+        same fitting path :meth:`represent` runs, which fits line kinds
+        with one kernel call per batch into the ``segment_columns``
+        arrays the engine's column-block append consumes.  Output is
+        identical to calling :meth:`represent` per sequence —
+        subclasses that override :meth:`represent` itself are detected
+        and looped through their override, so per-sequence
+        customizations keep applying to every ingest (override this
+        method as well to batch them).
         """
         sequences = list(sequences)
         if type(self).represent is not Breaker.represent:

@@ -10,8 +10,11 @@ to measure.  The codec is self-describing and versioned:
 * representations: header + per-segment records of
   ``(family tag, parameter block, index window, endpoint pairs)``.
 
-Decoding reconstructs real function objects through a family registry,
-so a round-tripped representation answers queries identically.
+An all-line representation's segment table is a run of fixed-size
+``<BH2dIIdddd`` records, packed from and unpacked into its arrays in one
+NumPy call each way.  Other families decode into real function objects
+through a family registry.  Either way a round-tripped representation
+answers queries identically.
 """
 
 from __future__ import annotations
@@ -135,6 +138,26 @@ def raw_size_bytes(sequence: Sequence) -> int:
 # ----------------------------------------------------------------------
 
 
+#: One all-line segment record, ``<BH2dIIdddd`` as a packed NumPy dtype
+#: (no alignment padding): family tag, parameter count, slope,
+#: intercept, index window, start and end ``(time, value)``.
+_LINE_RECORD = np.dtype(
+    [
+        ("tag", "u1"),
+        ("n_params", "<u2"),
+        ("slope", "<f8"),
+        ("intercept", "<f8"),
+        ("start_index", "<u4"),
+        ("end_index", "<u4"),
+        ("start_time", "<f8"),
+        ("start_value", "<f8"),
+        ("end_time", "<f8"),
+        ("end_value", "<f8"),
+    ]
+)
+_GEOMETRY_FIELDS = ("start_index", "end_index", "start_time", "start_value", "end_time", "end_value")
+
+
 def encode_representation(representation: FunctionSeriesRepresentation) -> bytes:
     name_bytes = representation.name.encode("utf-8")
     kind_bytes = representation.curve_kind.encode("utf-8")
@@ -147,31 +170,20 @@ def encode_representation(representation: FunctionSeriesRepresentation) -> bytes
         struct.pack("<Id", representation.source_length, representation.epsilon),
         struct.pack("<I", len(representation)),
     ]
-    segments = representation.segments
-    if all(type(segment.function) is LinearFunction for segment in segments):
-        # The dominant case — every segment a 2-parameter line — packs
-        # the whole segment table with one struct call.  "<" disables
-        # alignment padding, so the fused format yields the same bytes
-        # as packing field by field.
-        linear_tag = _FAMILY_TAGS["linear"]
-        fields: "list[float]" = []
-        for segment in segments:
-            function = segment.function
-            fields += (
-                linear_tag,
-                2,
-                function.slope,
-                function.intercept,
-                segment.start_index,
-                segment.end_index,
-                segment.start_point[0],
-                segment.start_point[1],
-                segment.end_point[0],
-                segment.end_point[1],
-            )
-        parts.append(struct.pack("<" + "BH2dIIdddd" * len(segments), *fields))
+    lines = representation.line_coefficients()
+    if lines is not None:
+        # A line representation packs its whole segment table from its
+        # arrays: the same bytes as packing each segment's record.
+        columns = representation.segment_columns()
+        records = np.empty(len(representation), dtype=_LINE_RECORD)
+        records["tag"] = _FAMILY_TAGS["linear"]
+        records["n_params"] = 2
+        records["slope"], records["intercept"] = lines
+        for field in _GEOMETRY_FIELDS:
+            records[field] = columns[field]
+        parts.append(records.tobytes())
         return b"".join(parts)
-    for segment in segments:
+    for segment in representation.segments:
         family = segment.function.family
         if family not in _FAMILY_TAGS:
             raise StorageError(f"family {family!r} has no storage tag")
@@ -210,6 +222,23 @@ def decode_representation(blob: bytes) -> FunctionSeriesRepresentation:
     offset += 12
     (n_segments,) = struct.unpack_from("<I", view, offset)
     offset += 4
+    if n_segments and len(view) - offset == n_segments * _LINE_RECORD.itemsize:
+        records = np.frombuffer(view, dtype=_LINE_RECORD, count=n_segments, offset=offset)
+        if bool(np.all(records["tag"] == _FAMILY_TAGS["linear"])) and bool(
+            np.all(records["n_params"] == 2)
+        ):
+            # Every record is a line, so the table is a run of
+            # fixed-size records: the segment-by-segment parse below
+            # would read exactly these fields.
+            return FunctionSeriesRepresentation.from_line_columns(
+                {field: records[field] for field in _GEOMETRY_FIELDS},
+                records["slope"],
+                records["intercept"],
+                name=name,
+                source_length=source_length,
+                curve_kind=curve_kind,
+                epsilon=epsilon,
+            )
     segments = []
     for _ in range(n_segments):
         tag, n_params = struct.unpack_from("<BH", view, offset)

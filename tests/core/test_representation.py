@@ -68,6 +68,29 @@ class TestGeometry:
         assert rep.segment_at(5.0).start_index == 0
         assert rep.segment_at(15.0).start_index == 11
 
+    @pytest.mark.parametrize("backing", ["arrays", "segments"])
+    def test_segment_at_gap_resolves_to_earlier(self, backing):
+        seq = vee_sequence()
+        rep = FunctionSeriesRepresentation.from_breakpoints(seq, [(0, 10), (11, 20)])
+        if backing == "segments":
+            rep = FunctionSeriesRepresentation(rep.segments)
+        assert (rep.line_coefficients() is None) == (backing == "segments")
+        assert rep.segment_at(10.5).start_index == 0  # in the gap between 10.0 and 11.0
+        assert rep.segment_at(11.0).start_index == 11
+        assert rep.segment_at(20.0).start_index == 11
+        assert rep.segment_at(0.0).start_index == 0
+
+    def test_on_demand_segments_index_like_a_tuple(self):
+        seq = vee_sequence()
+        rep = FunctionSeriesRepresentation.from_breakpoints(seq, [(0, 4), (5, 10), (11, 20)])
+        segments = rep.segments
+        assert rep[-1] == segments[-1]
+        assert rep[1:] == segments[1:]
+        assert list(rep) == list(segments)
+        assert rep.windows() == [(0, 4), (5, 10), (11, 20)]
+        with pytest.raises(IndexError):
+            rep[3]
+
     def test_segment_at_outside_rejected(self):
         seq = vee_sequence()
         rep = FunctionSeriesRepresentation.from_breakpoints(seq, [(0, 20)])
@@ -195,20 +218,26 @@ class TestReusingFit:
     def test_reuses_prefix_and_prefills_columns(self):
         seq, previous, bounds = self._prefix_and_full()
         reused = FunctionSeriesRepresentation.from_breakpoints_reusing(seq, bounds, previous)
-        assert reused.segments[0] is previous.segments[0]
+        # The reused window keeps the previous fit's row verbatim.
+        assert reused.segments[0] == previous.segments[0]
+        for reused_column, previous_column in zip(
+            reused.line_coefficients(), previous.line_coefficients()
+        ):
+            assert reused_column[0] == previous_column[0]
         assert reused._columns is not None
         fresh = FunctionSeriesRepresentation.from_breakpoints(seq, bounds)
         assert reused.segments == fresh.segments
         for name, column in fresh.segment_columns().items():
             assert np.array_equal(reused.segment_columns()[name], column), name
 
-    def test_decoded_previous_builds_columns_lazily(self):
+    def test_decoded_previous_reuses_decoded_columns(self):
         from repro.storage.serialization import decode_representation, encode_representation
 
         seq, previous, bounds = self._prefix_and_full()
         decoded = decode_representation(encode_representation(previous))
+        assert decoded.line_coefficients() is not None  # decoded straight into arrays
         reused = FunctionSeriesRepresentation.from_breakpoints_reusing(seq, bounds, decoded)
-        assert reused._columns is None
+        assert reused.line_coefficients() is not None
         fresh = FunctionSeriesRepresentation.from_breakpoints(seq, bounds)
         for name, column in fresh.segment_columns().items():
             assert np.array_equal(reused.segment_columns()[name], column), name

@@ -81,6 +81,76 @@ class TestRepresentationCodec:
             assert a.start_point == b.start_point
             assert a.end_point == b.end_point
 
+    @pytest.mark.parametrize("kind", ["regression", "interpolation", "poly:3", "sinusoid", "bezier"])
+    def test_encode_decode_encode_byte_identical(self, kind):
+        if kind == "sinusoid":
+            seq = goalpost_fever(noise=0.0)
+            rep = FunctionSeriesRepresentation.from_breakpoints(seq, [(0, len(seq) - 1)], curve_kind=kind)
+        else:
+            seq, rep = self.rep_for(kind)
+        blob = encode_representation(rep)
+        decoded = decode_representation(blob)
+        assert encode_representation(decoded) == blob
+        line_kind = kind in ("regression", "interpolation")
+        # Line blobs decode straight into arrays; other families into segments.
+        assert (decoded.line_coefficients() is not None) == line_kind
+        for name, column in rep.segment_columns().items():
+            assert column.tobytes() == decoded.segment_columns()[name].tobytes(), name
+
+    def test_line_table_is_the_struct_record_layout(self):
+        import struct
+
+        from repro.core.segment import Segment
+        from repro.functions.linear import LinearFunction
+
+        seq, rep = self.rep_for("regression")
+        records = b"".join(
+            struct.pack(
+                "<BH2dIIdddd",
+                1,
+                2,
+                *segment.function.parameters(),
+                segment.start_index,
+                segment.end_index,
+                *segment.start_point,
+                *segment.end_point,
+            )
+            for segment in rep.segments
+        )
+        blob = encode_representation(rep)
+        assert blob.endswith(records)
+        # A segment-backed copy of the same lines packs the same bytes.
+        copied = FunctionSeriesRepresentation(
+            [
+                Segment(LinearFunction(*s.function.parameters()), s.start_index, s.end_index, s.start_point, s.end_point)
+                for s in rep.segments
+            ],
+            name=rep.name,
+            source_length=rep.source_length,
+            curve_kind=rep.curve_kind,
+            epsilon=rep.epsilon,
+        )
+        assert copied.line_coefficients() is None
+        assert encode_representation(copied) == blob
+
+    def test_mixed_families_round_trip(self):
+        from repro.core.segment import Segment
+        from repro.functions.linear import LinearFunction
+        from repro.functions.polynomial import PolynomialFunction
+
+        rep = FunctionSeriesRepresentation(
+            [
+                Segment(LinearFunction(1.0, 2.0), 0, 3, (0.0, 2.0), (3.0, 5.0)),
+                Segment(PolynomialFunction((1.0, 0.5)), 4, 9, (4.0, 1.0), (9.0, 3.5)),
+            ],
+            curve_kind="mixed",
+        )
+        blob = encode_representation(rep)
+        decoded = decode_representation(blob)
+        assert decoded.line_coefficients() is None
+        assert decoded.segments == rep.segments
+        assert encode_representation(decoded) == blob
+
     def test_decoded_answers_queries_identically(self):
         seq, rep = self.rep_for("regression")
         decoded = decode_representation(encode_representation(rep))
