@@ -32,7 +32,9 @@ does not.  :class:`PlanResultCache` implements that contract:
   dirty matches alone when only those changed), so eviction pressure
   stays truthful after any number of deltas.
   `QueryMatch` objects are frozen, so sharing them across callers is
-  safe (the returned list itself is fresh per call).
+  safe (the returned list itself is fresh per call); the same holds for
+  the frozen deviation tuples that matches with equal deviations share
+  (see ``QueryExecutor._materialize``).
 
 A hit skips every plan stage; a delta revalidation skips them for all
 but the dirty ids.  ``SequenceDatabase.explain`` surfaces the would-be
@@ -77,7 +79,13 @@ def _flat_sizeof(value: object) -> int:
 
 def _matches_bytes(matches: "Iterable[QueryMatch]") -> int:
     """Estimated cost of some matches: per match, the frozen dataclass,
-    its name string and its deviation records."""
+    its name string and its deviation records.
+
+    A deviation tuple shared by several matches is still charged to
+    each of them, deliberately: the estimate stays additive over
+    matches (which delta re-charging relies on), and eviction order does
+    not depend on which other answers happened to share a record.
+    """
     cost = 0
     for match in matches:
         cost += 96 + sys.getsizeof(match.name)

@@ -7,7 +7,12 @@ the executor applies the same grading rule as
 :func:`repro.core.tolerance.grade_deviations` to whole columns at once
 and materializes :class:`QueryMatch` objects only for the sequences
 that survive, so results are identical to the legacy per-sequence path
-while the hot loop disappears.
+while the hot loop disappears.  Materialization stays on columns up to
+the objects themselves: the answer order is one ``np.lexsort`` over
+``(grade, total deviation, id)``, names come from one bulk
+``SequenceDatabase.names_of`` lookup, and every match whose deviation
+amounts are equal bit for bit shares one frozen tuple of
+:class:`DimensionDeviation` records.
 
 When the database's store is sharded (:mod:`repro.engine.sharding`) the
 per-store stages — columnar prefilter and vectorized grading — are
@@ -648,6 +653,20 @@ class QueryExecutor:
         verdicts: VectorVerdicts,
         include_approximate: bool,
     ) -> "list[QueryMatch]":
+        """Grade verdict columns and build the kept rows' matches.
+
+        Everything but the final objects happens on columns: the
+        grading mask, the :meth:`QueryMatch.sort_key` order as one
+        ``lexsort`` over ``(inexact, total, id)`` — ``total`` adds the
+        amount columns left to right from zeros, which is
+        :attr:`QueryMatch.total_deviation`'s ``sum`` bit for bit for the
+        one or two dimensions a plan grades — one ``tolist`` per column
+        and one bulk name lookup.  Rows with the same deviation amounts
+        (keyed on their float64 bit patterns, so ``-0.0`` and ``0.0``
+        stay apart) share one frozen tuple of
+        :class:`DimensionDeviation` records; dimensionless answers share
+        ``()``.
+        """
         n = len(verdicts.sequence_ids)
         within = np.ones(n, dtype=bool)
         exact = np.ones(n, dtype=bool)
@@ -655,16 +674,37 @@ class QueryExecutor:
             within &= dim.amounts <= dim.bound + WITHIN_EPSILON
             exact &= dim.amounts <= EXACT_EPSILON
         keep = within & (exact | include_approximate)
-        matches = []
-        ids = verdicts.sequence_ids
-        for i in np.flatnonzero(keep):
-            deviations = tuple(
-                DimensionDeviation(dim.dimension, float(dim.amounts[i]), dim.bound)
-                for dim in verdicts.dimensions
-            )
-            grade = MatchGrade.EXACT if exact[i] else MatchGrade.APPROXIMATE
-            sequence_id = int(ids[i])
-            matches.append(
-                QueryMatch(sequence_id, database.name_of(sequence_id), grade, deviations)
-            )
-        return sorted(matches, key=QueryMatch.sort_key)
+        ids = verdicts.sequence_ids[keep]
+        inexact = ~exact[keep]
+        columns = [dim.amounts[keep] for dim in verdicts.dimensions]
+        total = np.zeros(len(ids))
+        for column in columns:
+            total = total + column
+        order = np.lexsort((ids, total, inexact))
+        ordered_ids = ids[order].tolist()
+        names = database.names_of(ordered_ids)
+        grades = [
+            MatchGrade.APPROXIMATE if flag else MatchGrade.EXACT
+            for flag in inexact[order].tolist()
+        ]
+        shared: "list[tuple[DimensionDeviation, ...]]"
+        if columns:
+            ordered = [column[order] for column in columns]
+            keys = zip(*(column.view(np.int64).tolist() for column in ordered))
+            rows = zip(*(column.tolist() for column in ordered))
+            memo: "dict[tuple[int, ...], tuple[DimensionDeviation, ...]]" = {}
+            shared = []
+            for key, row in zip(keys, rows):
+                deviations = memo.get(key)
+                if deviations is None:
+                    deviations = memo[key] = tuple(
+                        DimensionDeviation(dim.dimension, amount, dim.bound)
+                        for dim, amount in zip(verdicts.dimensions, row)
+                    )
+                shared.append(deviations)
+        else:
+            shared = [()] * len(ordered_ids)
+        return [
+            QueryMatch(sequence_id, name, grade, deviations)
+            for sequence_id, name, grade, deviations in zip(ordered_ids, names, grades, shared)
+        ]

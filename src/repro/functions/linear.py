@@ -19,6 +19,7 @@ __all__ = [
     "fit_interpolation_line",
     "fit_interpolation_lines",
     "fit_regression_line",
+    "gather_windows",
     "regression_coefficients",
     "regression_lines",
 ]
@@ -121,6 +122,25 @@ def check_index_windows(starts: np.ndarray, ends: np.ndarray, length: int) -> No
         raise SequenceError(f"invalid index window [{starts[i]}, {ends[i]}] for length {length}")
 
 
+def gather_windows(
+    starts: np.ndarray, ends: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Flat indices of one or more inclusive index windows, laid end to end.
+
+    Returns ``(gather, offsets, counts)``: window ``w`` occupies
+    ``gather[offsets[w] : offsets[w] + counts[w]]``, which holds
+    ``starts[w] .. ends[w]`` — the layout ``np.add.reduceat`` and its
+    kin reduce per window over.
+    """
+    counts = ends - starts + 1
+    offsets = counts.cumsum() - counts
+    # Sample j of the gathered array sits at starts[w] + j - offsets[w].
+    gather = np.arange(int(offsets[-1] + counts[-1]), dtype=np.int64) + np.repeat(
+        starts - offsets, counts
+    )
+    return gather, offsets, counts
+
+
 def regression_lines(
     times: np.ndarray, values: np.ndarray, starts: np.ndarray, ends: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray]":
@@ -152,12 +172,7 @@ def regression_lines(
     check_index_windows(starts, ends, len(times))
     if starts.size == 0:
         return np.empty(0), np.empty(0)
-    counts = ends - starts + 1
-    offsets = counts.cumsum() - counts
-    # Sample j of the gathered array sits at times[starts[w] + j - offsets[w]].
-    gather = np.arange(int(offsets[-1] + counts[-1]), dtype=np.int64) + np.repeat(
-        starts - offsets, counts
-    )
+    gather, offsets, counts = gather_windows(starts, ends)
     t = times[gather]
     v = values[gather]
     t_mean = np.add.reduceat(t, offsets) / counts

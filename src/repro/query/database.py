@@ -691,6 +691,18 @@ class SequenceDatabase:
         self._require(sequence_id)
         return self._names[sequence_id]
 
+    def names_of(self, sequence_ids: "Iterable[int]") -> list[str]:
+        """Names of many sequences, in order — :meth:`name_of` in bulk.
+
+        Raises the same :class:`QueryError` as :meth:`name_of` on the
+        first unknown id.
+        """
+        names = self._names
+        try:
+            return [names[sequence_id] for sequence_id in sequence_ids]
+        except KeyError as error:
+            raise QueryError(f"unknown sequence id {error.args[0]}") from None
+
     def representation_of(self, sequence_id: int) -> FunctionSeriesRepresentation:
         self._require(sequence_id)
         return self._representations[sequence_id]

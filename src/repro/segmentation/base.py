@@ -21,10 +21,18 @@ from __future__ import annotations
 import abc
 from typing import Sequence as TypingSequence
 
+import numpy as np
+
 from repro.core.errors import SegmentationError
 from repro.core.representation import FunctionSeriesRepresentation
 from repro.core.sequence import Sequence
 from repro.functions.fitting import get_fitter
+from repro.functions.linear import (
+    check_index_windows,
+    fit_interpolation_lines,
+    gather_windows,
+    regression_lines,
+)
 
 __all__ = [
     "Breaker",
@@ -196,15 +204,42 @@ def verify_tolerance(
     curve_kind: str,
     epsilon: float,
 ) -> bool:
-    """Whether every window is within ``epsilon`` of its fitted curve."""
-    fitter = get_fitter(curve_kind)
-    for start, end in boundaries:
-        piece = sequence.subsequence(start, end)
-        if len(piece) < 2:
-            continue
-        if fitter(piece).max_deviation(piece) > epsilon + 1e-9:
-            return False
-    return True
+    """Whether every window is within ``epsilon`` of its fitted curve.
+
+    The line kinds fit every window of two or more points with one
+    batch kernel call (:func:`regression_lines`,
+    :func:`fit_interpolation_lines`), whose coefficients equal the
+    per-window fitter's bit for bit, and take each window's largest
+    ``|value - (slope * t + intercept)|`` — the elementwise expression
+    of :meth:`LinearFunction.residuals` — with one
+    ``np.maximum.reduceat``.  Other kinds fit window by window.
+    """
+    if curve_kind not in ("regression", "interpolation"):
+        fitter = get_fitter(curve_kind)
+        for start, end in boundaries:
+            piece = sequence.subsequence(start, end)
+            if len(piece) < 2:
+                continue
+            if fitter(piece).max_deviation(piece) > epsilon + 1e-9:
+                return False
+        return True
+    windows = np.asarray(boundaries, dtype=np.int64).reshape(-1, 2)
+    check_index_windows(windows[:, 0], windows[:, 1], len(sequence))
+    windows = windows[windows[:, 1] > windows[:, 0]]
+    if len(windows) == 0:
+        return True
+    starts, ends = windows[:, 0], windows[:, 1]
+    times, values = sequence.times, sequence.values
+    if curve_kind == "regression":
+        slope, intercept = regression_lines(times, values, starts, ends)
+    else:
+        slope, intercept = fit_interpolation_lines(
+            times[starts], values[starts], times[ends], values[ends]
+        )
+    gather, offsets, counts = gather_windows(starts, ends)
+    fitted = np.repeat(slope, counts) * times[gather] + np.repeat(intercept, counts)
+    worst = np.maximum.reduceat(np.abs(values[gather] - fitted), offsets)
+    return not bool((worst > epsilon + 1e-9).any())
 
 
 def breakpoints_correspond(

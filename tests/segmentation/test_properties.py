@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sequence import Sequence
+from repro.functions.fitting import get_fitter
 from repro.segmentation import (
     DynamicProgrammingBreaker,
     InterpolationBreaker,
@@ -30,6 +31,49 @@ def value_lists(min_size=2, max_size=60):
 
 
 epsilons = st.floats(min_value=0.01, max_value=10.0, allow_nan=False)
+
+
+def _window_deviations(seq, bounds, kind):
+    """Per-window ``get_fitter(kind)`` max deviations, skipping one-point windows."""
+    fitter = get_fitter(kind)
+    deviations = []
+    for start, end in bounds:
+        piece = seq.subsequence(start, end)
+        if len(piece) > 1:
+            deviations.append(fitter(piece).max_deviation(piece))
+    return deviations
+
+
+@st.composite
+def partitioned_sequences(draw):
+    values = draw(value_lists(min_size=1, max_size=50))
+    gaps = draw(
+        st.lists(
+            st.floats(min_value=0.01, max_value=5.0), min_size=len(values), max_size=len(values)
+        )
+    )
+    origin = draw(st.sampled_from([0.0, 1e6]))
+    seq = Sequence(origin + np.cumsum(gaps), values)
+    cuts = draw(st.sets(st.integers(min_value=1, max_value=max(1, len(values) - 1))))
+    edges = [0] + sorted(cut for cut in cuts if cut < len(values)) + [len(values)]
+    return seq, [(lo, hi - 1) for lo, hi in zip(edges, edges[1:])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=partitioned_sequences(),
+    kind=st.sampled_from(["regression", "interpolation"]),
+    epsilon=st.floats(min_value=0.0, max_value=60.0),
+)
+def test_verify_tolerance_equals_per_window_loop(case, kind, epsilon):
+    seq, bounds = case
+    assert is_partition(bounds, len(seq))
+    deviations = _window_deviations(seq, bounds, kind)
+    # The drawn tolerance, and one straddling the worst window exactly.
+    worst = max(deviations, default=0.0)
+    for eps in (epsilon, worst - 1e-9, np.nextafter(worst - 1e-9, -np.inf)):
+        expected = not any(deviation > eps + 1e-9 for deviation in deviations)
+        assert verify_tolerance(seq, bounds, kind, eps) == expected
 
 
 @settings(max_examples=60, deadline=None)
