@@ -19,7 +19,8 @@ sampled endpoints, mean slope) and the lines' slope and intercept.
 :meth:`~FunctionSeriesRepresentation.from_breakpoints_many` fits a whole
 batch with one segmented least-squares kernel (or the endpoint chords),
 the append path's :meth:`~FunctionSeriesRepresentation.from_breakpoints_reusing`
-slices and joins those arrays, and the codec packs and unpacks them
+fits a whole batch's changed suffixes in one such call and joins them to
+the reused prefix slices, and the codec packs and unpacks them
 directly, so no write path builds a per-segment object.  The object API
 (``segments``, iteration, indexing, :meth:`~FunctionSeriesRepresentation.segment_at`)
 builds :class:`~repro.core.segment.Segment` and
@@ -31,6 +32,8 @@ first use.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import Iterator, Sequence as TypingSequence, overload
 
 import numpy as np
@@ -62,12 +65,17 @@ __all__ = [
 #: by the engine's symbol columns and transition tables.
 SYMBOL_CODES = {"+": 1, "-": -1, "0": 0}
 
-#: Code → symbol, indexed by ``code + 1``.
-_CODE_TO_SYMBOL = np.array(["-", "0", "+"])
+#: Code → ASCII byte of its symbol, indexed by ``code + 1``.
+_CODE_TO_SYMBOL = np.frombuffer(b"-0+", dtype=np.uint8)
 
 #: The index and endpoint columns of :meth:`FunctionSeriesRepresentation.segment_columns`,
 #: in order; the seventh column, ``slope``, is derived from the functions.
 _GEOMETRY_COLUMNS = ("start_index", "end_index", "start_time", "end_time", "start_value", "end_value")
+
+#: Every :meth:`FunctionSeriesRepresentation.segment_columns` column.
+_JOIN_COLUMNS = (*_GEOMETRY_COLUMNS, "slope")
+
+_join_columns = itemgetter(*_JOIN_COLUMNS)
 
 
 def classify_slopes(
@@ -82,7 +90,8 @@ def classify_slopes(
     they can never disagree.
     """
     arr = np.asarray(slopes, dtype=np.float64)
-    return np.where(arr > theta, 1, np.where(arr < -theta, -1, 0)).astype(np.int8)
+    # Booleans viewed as int8 are 0/1, so rising minus falling is the code.
+    return (arr > theta).view(np.int8) - (arr < -theta).view(np.int8)
 
 
 def decode_symbols(codes: "np.ndarray | TypingSequence[int]") -> str:
@@ -98,7 +107,7 @@ def decode_symbols(codes: "np.ndarray | TypingSequence[int]") -> str:
     bad = (index < 0) | (index >= len(_CODE_TO_SYMBOL)) | (index - 1 != arr)
     if bool(bad.any()):
         raise SequenceError(f"invalid symbol codes {np.unique(arr[bad]).tolist()}")
-    return "".join(_CODE_TO_SYMBOL[index])
+    return _CODE_TO_SYMBOL[index].tobytes().decode("ascii")
 
 
 def collapse_symbol_runs(symbols: str) -> str:
@@ -177,6 +186,64 @@ def _check_order(start_index: np.ndarray, end_index: np.ndarray) -> None:
             f"segments overlap: [{start_index[i]}..{end_index[i]}] then "
             f"[{start_index[i + 1]}..{end_index[i + 1]}]"
         )
+
+
+def _shared_prefix(items: "list[int]", previous: "list[int]") -> int:
+    """How many leading entries two lists share.
+
+    An append usually changes only the trailing window or appends new
+    ones, so the whole-list and all-but-last compares (C-speed list
+    equality) settle almost every item; otherwise the first differing
+    entry is searched for.
+    """
+    k = min(len(items), len(previous))
+    if items[:k] == previous[:k]:
+        return k
+    if items[: k - 1] == previous[: k - 1]:
+        return k - 1
+    return next(i for i in range(k) if items[i] != previous[i])
+
+
+def _stack_windows(
+    boundaries_list: "TypingSequence[TypingSequence[tuple[int, int]]]",
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Every item's ``(start, end)`` windows as one ``(n, 2)`` int64 array,
+    plus each item's window count.
+
+    Array items are concatenated; lists of pairs (what breakers return)
+    are read in one ``np.fromiter`` pass, far cheaper than converting
+    each item's tuples separately.
+    """
+    if all(isinstance(boundaries, np.ndarray) for boundaries in boundaries_list):
+        arrays = [boundaries.reshape(-1, 2) for boundaries in boundaries_list]
+        flat = np.concatenate([np.empty((0, 2), dtype=np.int64), *arrays]).astype(np.int64)
+        counts = np.array([len(array) for array in arrays], dtype=np.int64)
+    else:
+        flat = np.fromiter(
+            chain.from_iterable(chain.from_iterable(boundaries_list)), dtype=np.int64
+        ).reshape(-1, 2)
+        counts = np.array([len(boundaries) for boundaries in boundaries_list], dtype=np.int64)
+    return flat, counts
+
+
+def _check_windows(flat: np.ndarray, counts: np.ndarray, lengths: np.ndarray) -> None:
+    """:func:`check_index_windows` and :func:`_check_order` for every item
+    of a batch at once; the first failing item raises its own error."""
+    start = flat[:, 0]
+    end = flat[:, 1]
+    offsets = np.cumsum(counts) - counts
+    overlap = np.zeros(len(flat), dtype=bool)
+    overlap[1:] = start[1:] <= end[:-1]
+    overlap[offsets[counts > 0]] = False  # an item's first window follows no window of its own
+    failing = overlap | (start < 0) | (end >= np.repeat(lengths, counts)) | (start > end)
+    if not bool(failing.any()) and bool((counts > 0).all()):
+        return
+    item_of_row = np.repeat(np.arange(len(counts)), counts)
+    bad_items = np.union1d(item_of_row[failing], np.flatnonzero(counts == 0))
+    j = int(bad_items[0])
+    window = flat[offsets[j] : offsets[j] + counts[j]]
+    check_index_windows(window[:, 0], window[:, 1], int(lengths[j]))
+    _check_order(window[:, 0], window[:, 1])
 
 
 class FunctionSeriesRepresentation:
@@ -309,9 +376,10 @@ class FunctionSeriesRepresentation:
 
         The one fitting path every construction runs through
         (:meth:`from_breakpoints` is a batch of one and
-        :meth:`from_breakpoints_reusing` fits its changed suffix here).
-        Every window is checked first, as array predicates over each
-        sequence's windows.  The two line kinds then fit the whole batch
+        :meth:`from_breakpoints_reusing` fits every changed suffix of an
+        append batch here in one call).
+        Every window is checked first, as array predicates over the
+        whole batch's windows.  The two line kinds then fit the whole batch
         at once — :func:`~repro.functions.linear.regression_lines` over
         the concatenated samples, or the endpoint chords of
         :func:`~repro.functions.linear.fit_interpolation_lines` — and
@@ -325,20 +393,19 @@ class FunctionSeriesRepresentation:
             raise SequenceError(
                 f"sequences ({len(sequences)}) and boundaries ({len(boundaries_list)}) disagree"
             )
-        windows = []
-        for sequence, boundaries in zip(sequences, boundaries_list):
-            window = np.asarray(boundaries, dtype=np.int64).reshape(-1, 2)
-            check_index_windows(window[:, 0], window[:, 1], len(sequence))
-            _check_order(window[:, 0], window[:, 1])
-            windows.append(window)
-        if not windows:
+        if not sequences:
             return []
+        flat, counts = _stack_windows(boundaries_list)
+        _check_windows(
+            flat, counts, np.array([len(sequence) for sequence in sequences], dtype=np.int64)
+        )
         fitter = get_fitter(curve_kind)
         if fitter is fit_regression_line or fitter is fit_interpolation_line:
             return cls._fit_lines(
-                sequences, windows, fitter is fit_regression_line, curve_kind, epsilon
+                sequences, flat, counts, fitter is fit_regression_line, curve_kind, epsilon
             )
 
+        windows = np.split(flat, np.cumsum(counts)[:-1])
         representations = []
         for sequence, window in zip(sequences, windows):
             times = sequence.times
@@ -375,24 +442,29 @@ class FunctionSeriesRepresentation:
     def _fit_lines(
         cls,
         sequences: "TypingSequence[Sequence]",
-        windows: "list[np.ndarray]",
+        window: np.ndarray,
+        counts: np.ndarray,
         regression: bool,
         curve_kind: str,
         epsilon: float,
     ) -> "list[FunctionSeriesRepresentation]":
-        """One line fit (regression or chord) over a batch of checked windows."""
-        counts = [len(window) for window in windows]
-        lengths = np.array([len(sequence) for sequence in sequences], dtype=np.int64)
-        bases = np.zeros(len(lengths), dtype=np.int64)
-        np.cumsum(lengths[:-1], out=bases[1:])
-        window = np.concatenate(windows)
+        """One line fit (regression or chord) over a batch of checked windows.
+
+        Only the samples each item's windows cover are gathered (from its
+        first window's start to its last window's end), so a suffix fit
+        copies the suffix, not the whole sequence.
+        """
         start_index = np.ascontiguousarray(window[:, 0])
         end_index = np.ascontiguousarray(window[:, 1])
-        shift = np.repeat(bases, counts)
+        last_rows = np.cumsum(counts) - 1
+        lo = start_index[last_rows - counts + 1]
+        hi = end_index[last_rows] + 1
+        shift = np.repeat(np.cumsum(hi - lo) - hi, counts)
         starts = start_index + shift
         ends = end_index + shift
-        times = np.concatenate([sequence.times for sequence in sequences])
-        values = np.concatenate([sequence.values for sequence in sequences])
+        covered = list(zip(sequences, lo.tolist(), hi.tolist()))
+        times = np.concatenate([sequence.times[a:b] for sequence, a, b in covered])
+        values = np.concatenate([sequence.values[a:b] for sequence, a, b in covered])
         start_time = times[starts]
         end_time = times[ends]
         start_value = values[starts]
@@ -418,7 +490,7 @@ class FunctionSeriesRepresentation:
         }
         representations = []
         position = 0
-        for sequence, count in zip(sequences, counts):
+        for sequence, count in zip(sequences, counts.tolist()):
             rows = slice(position, position + count)
             position += count
             representations.append(
@@ -436,65 +508,107 @@ class FunctionSeriesRepresentation:
     @classmethod
     def from_breakpoints_reusing(
         cls,
-        sequence: Sequence,
-        boundaries: "TypingSequence[tuple[int, int]]",
-        previous: "FunctionSeriesRepresentation",
+        sequences: "TypingSequence[Sequence]",
+        boundaries_list: "TypingSequence[TypingSequence[tuple[int, int]]]",
+        previous_list: "TypingSequence[FunctionSeriesRepresentation]",
         curve_kind: str = "regression",
         epsilon: float = 0.0,
-    ) -> "FunctionSeriesRepresentation":
-        """Suffix-only :meth:`from_breakpoints` for appends.
+    ) -> "list[FunctionSeriesRepresentation]":
+        """Suffix-only :meth:`from_breakpoints_many` for an append batch.
 
-        ``previous`` is the representation of a *prefix* of
-        ``sequence`` (the pre-append data).  The leading windows of
-        ``boundaries`` that equal ``previous``'s, found by one compare
-        over its index columns, keep their fitted rows verbatim — they
-        were fitted on identical samples, so reuse is bit-identical to
-        refitting — and only the remaining (changed) suffix windows are
-        fitted, through :meth:`from_breakpoints_many`.  For line
-        representations the reused rows are array slices joined to the
-        suffix's arrays.  The result equals ``from_breakpoints(sequence,
-        boundaries, ...)`` byte for byte, at the cost of the suffix
-        alone.
+        Each ``previous_list[j]`` is the representation of a *prefix* of
+        ``sequences[j]`` (the pre-append data).  The leading windows of
+        ``boundaries_list[j]`` that equal the previous ones, found by
+        list compares against its index columns, keep their fitted rows
+        verbatim — they were fitted on identical samples, so reuse is
+        bit-identical to refitting.  Every item's remaining (changed)
+        suffix windows are fitted together in **one**
+        :meth:`from_breakpoints_many` call, and each line item's prefix
+        rows are joined to its suffix rows with one concatenate per
+        column for the whole batch.  Segment-backed kinds (Bézier,
+        polynomial, sinusoid) join their :class:`Segment` objects item
+        by item.  Each result equals ``from_breakpoints(sequences[j],
+        boundaries_list[j], ...)`` byte for byte, at the cost of the
+        suffixes alone.
         """
-        window = np.asarray(boundaries, dtype=np.int64).reshape(-1, 2)
-        previous_columns = previous.segment_columns()
-        k = min(len(window), len(previous_columns["start_index"]))
-        same = (previous_columns["start_index"][:k] == window[:k, 0]) & (
-            previous_columns["end_index"][:k] == window[:k, 1]
+        if not len(sequences) == len(boundaries_list) == len(previous_list):
+            raise SequenceError(
+                f"sequences ({len(sequences)}), boundaries ({len(boundaries_list)}) "
+                f"and previous representations ({len(previous_list)}) disagree"
+            )
+        reuses = []
+        suffix_windows = []
+        for boundaries, previous in zip(boundaries_list, previous_list):
+            windows = boundaries.tolist() if isinstance(boundaries, np.ndarray) else list(boundaries)
+            if not windows:
+                raise SequenceError("a representation needs at least one segment")
+            # Compared as start and end lists: no tuple per window.
+            columns = previous.segment_columns()
+            reuse = min(
+                _shared_prefix([window[0] for window in windows], columns["start_index"].tolist()),
+                _shared_prefix([window[1] for window in windows], columns["end_index"].tolist()),
+            )
+            if 0 < reuse < len(windows) and windows[reuse][0] <= windows[reuse - 1][1]:
+                (s0, e0), (s1, e1) = windows[reuse - 1], windows[reuse]
+                raise SequenceError(f"segments overlap: [{s0}..{e0}] then [{s1}..{e1}]")
+            reuses.append(reuse)
+            suffix_windows.append(windows[reuse:])
+        changed = [j for j, windows in enumerate(suffix_windows) if windows]
+        suffixes: "dict[int, FunctionSeriesRepresentation]" = dict(
+            zip(
+                changed,
+                cls.from_breakpoints_many(
+                    [sequences[j] for j in changed],
+                    [suffix_windows[j] for j in changed],
+                    curve_kind=curve_kind,
+                    epsilon=epsilon,
+                ),
+            )
         )
-        reuse = k if bool(same.all()) else int(np.argmin(same))
-        suffix = None
-        if reuse < len(window):
-            suffix = cls.from_breakpoints_many(
-                [sequence], [window[reuse:]], curve_kind=curve_kind, epsilon=epsilon
-            )[0]
-        previous_lines = previous._lines
-        suffix_lines = None if suffix is None else suffix._lines
-        if previous_lines is None or (suffix is not None and suffix_lines is None):
-            segments = list(previous.segments[:reuse])
+
+        results: "dict[int, FunctionSeriesRepresentation]" = {}
+        line_items = []
+        for j, (sequence, previous) in enumerate(zip(sequences, previous_list)):
+            suffix = suffixes.get(j)
+            if previous._lines is not None and (suffix is None or suffix._lines is not None):
+                line_items.append(j)
+                continue
+            segments = list(previous.segments[: reuses[j]])
             if suffix is not None:
                 segments.extend(suffix.segments)
-            return cls(
+            results[j] = cls(
                 segments,
                 name=sequence.name,
                 source_length=len(sequence),
                 curve_kind=curve_kind,
                 epsilon=epsilon,
             )
-        columns = {name: column[:reuse] for name, column in previous_columns.items()}
-        slope, intercept = (column[:reuse] for column in previous_lines)
-        if suffix is not None and suffix_lines is not None:
-            suffix_columns = suffix.segment_columns()
-            columns = {
-                name: np.concatenate([column, suffix_columns[name]])
-                for name, column in columns.items()
-            }
-            slope = np.concatenate([slope, suffix_lines[0]])
-            intercept = np.concatenate([intercept, suffix_lines[1]])
-        _check_order(columns["start_index"], columns["end_index"])
-        return cls._of_lines(
-            columns, (slope, intercept), sequence.name, len(sequence), curve_kind, epsilon
-        )
+        if line_items:
+            # Interleave every line item's (reused prefix, fitted suffix)
+            # rows and concatenate each array once for the batch.
+            pieces: "list[list[np.ndarray]]" = [[] for __ in range(len(_JOIN_COLUMNS) + 2)]
+            for j in line_items:
+                reuse = reuses[j]
+                for part, array in zip(pieces, previous_list[j]._line_arrays()):
+                    part.append(array[:reuse])
+                if j in suffixes:
+                    for part, array in zip(pieces, suffixes[j]._line_arrays()):
+                        part.append(array)
+            joined = [np.concatenate(part) for part in pieces]
+            position = 0
+            for j in line_items:
+                rows = slice(position, position + reuses[j] + len(suffix_windows[j]))
+                position = rows.stop
+                *columns, slope, intercept = (array[rows] for array in joined)
+                results[j] = cls._of_lines(
+                    dict(zip(_JOIN_COLUMNS, columns)),
+                    (slope, intercept),
+                    sequences[j].name,
+                    len(sequences[j]),
+                    curve_kind,
+                    epsilon,
+                )
+        return [results[j] for j in range(len(sequences))]
 
     def refit(self, sequence: Sequence, curve_kind: str) -> "FunctionSeriesRepresentation":
         """The same breakpoints, represented by a different curve kind."""
@@ -511,6 +625,11 @@ class FunctionSeriesRepresentation:
     def line_coefficients(self) -> "tuple[np.ndarray, np.ndarray] | None":
         """The lines' ``(slope, intercept)`` columns; ``None`` when segment-backed."""
         return self._lines
+
+    def _line_arrays(self) -> "tuple[np.ndarray, ...]":
+        """A line representation's :data:`_JOIN_COLUMNS`, then its slope and intercept."""
+        assert self._lines is not None
+        return (*_join_columns(self.segment_columns()), *self._lines)
 
     @property
     def segments(self) -> "tuple[Segment, ...]":

@@ -70,6 +70,7 @@ __all__ = [
     "N_FEATURES",
     "SKETCH_DIMS",
     "profile_features",
+    "profile_rows",
     "sketch_of",
     "lower_bound_scale",
     "chunked_distances",
@@ -114,19 +115,57 @@ def profile_features(
     ``start_value``/``end_value`` segment columns, whether read from a
     representation's :meth:`segment_columns` or from the columnar
     store (the store copies those columns verbatim at ingest, so both
-    sources yield bit-identical profiles).
+    sources yield bit-identical profiles).  A batch of one through
+    :func:`profile_rows`.
     """
-    n = len(start_times)
-    if n == 0:
-        return np.zeros(n_features)
-    xp = np.empty(2 * n)
-    xp[0::2] = start_times
-    xp[1::2] = end_times
-    fp = np.empty(2 * n)
-    fp[0::2] = start_values
-    fp[1::2] = end_values
-    ts = xp[0] + (np.arange(n_features) / (n_features - 1)) * (xp[-1] - xp[0])
-    return np.interp(ts, xp, fp)
+    columns = [
+        np.asarray(column, dtype=np.float64)
+        for column in (start_times, end_times, start_values, end_values)
+    ]
+    return profile_rows(
+        *columns, np.zeros(1, dtype=np.int64), np.array([len(columns[0])]), n_features
+    )[0]
+
+
+def profile_rows(
+    start_times: np.ndarray,
+    end_times: np.ndarray,
+    start_values: np.ndarray,
+    end_values: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    n_features: int = N_FEATURES,
+) -> np.ndarray:
+    """Profiles of many sequences: row ``r`` samples the segments
+    ``starts[r] .. starts[r] + counts[r] - 1`` of the endpoint columns.
+
+    The interleaved endpoints and the sample times of every row are
+    laid out by whole-batch array operations (elementwise, so each row's
+    floats are the ones a lone row gets); only the ``np.interp`` call
+    itself runs per row.  A row without segments profiles to zeros.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    profiles = np.zeros((len(starts), n_features))
+    rows = np.flatnonzero(counts > 0)
+    if not len(rows):
+        return profiles
+    seg_counts = counts[rows]
+    seg_offsets = np.cumsum(seg_counts) - seg_counts
+    gather = np.arange(int(seg_counts.sum())) + np.repeat(starts[rows] - seg_offsets, seg_counts)
+    xp = np.empty(2 * len(gather))
+    xp[0::2] = start_times[gather]
+    xp[1::2] = end_times[gather]
+    fp = np.empty(2 * len(gather))
+    fp[0::2] = start_values[gather]
+    fp[1::2] = end_values[gather]
+    first = 2 * seg_offsets
+    last = first + 2 * seg_counts - 1
+    span = xp[last] - xp[first]
+    ts = xp[first][:, None] + (np.arange(n_features) / (n_features - 1)) * span[:, None]
+    for at, (row, lo, hi) in enumerate(zip(rows.tolist(), first.tolist(), last.tolist())):
+        profiles[row] = np.interp(ts[at], xp[lo : hi + 1], fp[lo : hi + 1])
+    return profiles
 
 
 def sketch_of(features: np.ndarray) -> np.ndarray:
@@ -225,8 +264,10 @@ class ClusterIndex:
     Lazily built from the store's segment columns on first use
     (``ColumnarSegmentStore.cluster_index()``), then kept in lock-step
     with the store by replaying its mutation journal: each sync
-    removes dead ids, re-profiles journal-dirty live ids and reassigns
-    them to the nearest representative (or founds a new cluster), and
+    re-profiles the journal-dirty ids still live in one batch, updates
+    their rows in one pass (dead ids leave, new ids are merged in) and
+    reassigns them in ascending id order to the nearest representative
+    (or founds a new cluster), and
     a full rebuild runs when the journal has compacted past the last
     synced generation or when :func:`stale_rebuild_due` says
     incremental reassignments have degraded the seeded partition.
@@ -337,10 +378,10 @@ class ClusterIndex:
     def sync(self) -> None:
         """Bring the index to the store's current generation.
 
-        Cheap no-op when nothing changed; journal replay for small
-        dirty sets; full rebuild when the journal compacted past the
-        baseline or accumulated reassignments trip the staleness
-        ratio.
+        Cheap no-op when nothing changed; one batched journal replay
+        (:meth:`_replay`) over the whole dirty set otherwise; full
+        rebuild when the journal compacted past the baseline or
+        accumulated reassignments trip the staleness ratio.
         """
         store = self._store
         if self._synced_generation is None:
@@ -356,30 +397,64 @@ class ClusterIndex:
         if stale_rebuild_due(self._stale_mutations, len(self._ids), self._STALE_FLOOR):
             self._rebuild()
             return
-        for sequence_id in sorted(dirty):
-            self._remove(sequence_id)
-            if sequence_id in store:
-                self._admit(sequence_id)
+        self._replay(np.array(sorted(dirty), dtype=np.int64))
         self._synced_generation = store.generation
 
+    def _replay(self, dirty: np.ndarray) -> None:
+        """Re-index the ascending ``dirty`` ids in one pass.
+
+        The dirty ids still live in the store are profiled by one
+        :meth:`_profile_rows` call.  When the batch only appended (every
+        dirty id was indexed and is still live) their rows are rewritten
+        in place; otherwise every dirty row leaves the matrices under one
+        mask and the live ones are merged back into id order by one
+        gather per matrix.  They are then assigned by the leader rule in
+        ascending id order.  Removing a member never changes a
+        representative or a radius, so removing every dirty id before
+        assigning any yields the same clusters, radii and member order
+        as removing and re-admitting id by id.
+        """
+        self._probe_cache = None
+        for sequence_id in dirty.tolist():
+            cluster = self._cluster_of.pop(sequence_id, None)
+            if cluster is not None:
+                cluster.member_ids.remove(sequence_id)
+        ids = self._ids
+        rows = np.searchsorted(ids, dirty)
+        present = rows < len(ids)
+        present[present] = ids[rows[present]] == dirty[present]
+        store_ids = self._store.sequence_ids
+        store_rows = np.searchsorted(store_ids, dirty)
+        live = store_rows < len(store_ids)
+        live[live] = store_ids[store_rows[live]] == dirty[live]
+        admitted = dirty[live]
+        features = self._profile_rows(store_rows[live])
+        sketches = sketch_of(features)
+        if bool(present.all()) and bool(live.all()):
+            # Only appends: the id set is unchanged, rows are rewritten in place.
+            self._features[rows] = features
+            self._sketches[rows] = sketches
+        else:
+            keep = np.ones(len(ids), dtype=bool)
+            keep[rows[present]] = False
+            merged = np.concatenate((ids[keep], admitted))
+            order = np.argsort(merged, kind="stable")
+            self._ids = merged[order]
+            self._features = np.concatenate((self._features[keep], features))[order]
+            self._sketches = np.concatenate((self._sketches[keep], sketches))[order]
+        self._assign(admitted, sketches)
+
     def _profile_rows(self, positions: np.ndarray) -> np.ndarray:
-        """Profiles for the store rows at ``positions``, one interp each."""
+        """Profiles for the store rows at ``positions``, in one batch."""
         store = self._store
-        start_times = store.segment_column("start_time")
-        end_times = store.segment_column("end_time")
-        start_values = store.segment_column("start_value")
-        end_values = store.segment_column("end_value")
-        seg_starts = store.segment_starts
-        seg_counts = store.segment_counts
-        features = np.empty((len(positions), N_FEATURES))
-        for row, position in enumerate(positions):
-            lo = int(seg_starts[position])
-            hi = lo + int(seg_counts[position])
-            features[row] = profile_features(
-                start_times[lo:hi], end_times[lo:hi],
-                start_values[lo:hi], end_values[lo:hi],
-            )
-        return features
+        return profile_rows(
+            store.segment_column("start_time"),
+            store.segment_column("end_time"),
+            store.segment_column("start_value"),
+            store.segment_column("end_value"),
+            store.segment_starts[positions],
+            store.segment_counts[positions],
+        )
 
     def _rebuild(self) -> None:
         """Re-profile and re-cluster the whole store, id-ascending."""
@@ -437,46 +512,40 @@ class ClusterIndex:
         if was_built:
             self.rebuilds += 1
 
-    def _assign(self, sequence_id: int, sketch: np.ndarray) -> None:
-        """Leader rule: join the nearest representative within tau,
-        else found a new cluster (deterministic: first-best wins)."""
-        self._probe_cache = None
-        if self._clusters:
-            representatives = np.stack(
-                [cluster.representative for cluster in self._clusters]
-            )
-            gaps = _sketch_gaps(representatives, sketch)
-            best = int(np.argmin(gaps))
-            if gaps[best] <= self._tau:
+    def _assign(self, sequence_ids: np.ndarray, sketches: np.ndarray) -> None:
+        """Leader rule, id by id: join the nearest representative within
+        tau, else found a new cluster (deterministic: first-best wins).
+
+        Gaps to the representatives that exist before the batch are one
+        array operation for all ids; an id also weighs the clusters
+        founded earlier in the batch, after them in cluster order — the
+        same first-best choice as one restacked argmin per id.
+        """
+        n_old = len(self._clusters)
+        if n_old:
+            representatives = np.stack([cluster.representative for cluster in self._clusters])
+            diff = representatives[None, :, :] - sketches[:, None, :]
+            old_gaps = np.sqrt((diff * diff).sum(axis=-1))
+        founded: "list[np.ndarray]" = []
+        for i, (sequence_id, sketch) in enumerate(zip(sequence_ids.tolist(), sketches)):
+            best, gap = -1, np.inf
+            if n_old:
+                best = int(np.argmin(old_gaps[i]))
+                gap = old_gaps[i, best]
+            if founded:
+                new_gaps = _sketch_gaps(np.array(founded), sketch)
+                newest = int(np.argmin(new_gaps))
+                if new_gaps[newest] < gap:
+                    best, gap = n_old + newest, new_gaps[newest]
+            if best >= 0 and gap <= self._tau:
                 cluster = self._clusters[best]
-                cluster.admit(sequence_id, float(gaps[best]))
-                self._cluster_of[sequence_id] = cluster
-                return
-        cluster = _Cluster(sketch.copy())
-        cluster.admit(sequence_id, 0.0)
-        self._clusters.append(cluster)
-        self._cluster_of[sequence_id] = cluster
-
-    def _remove(self, sequence_id: int) -> None:
-        cluster = self._cluster_of.pop(sequence_id, None)
-        if cluster is None:
-            return
-        self._probe_cache = None
-        cluster.member_ids.remove(sequence_id)
-        position = int(np.searchsorted(self._ids, sequence_id))
-        self._ids = np.delete(self._ids, position)
-        self._features = np.delete(self._features, position, axis=0)
-        self._sketches = np.delete(self._sketches, position, axis=0)
-
-    def _admit(self, sequence_id: int) -> None:
-        store_position = self._store.position_of(sequence_id)
-        row = self._profile_rows(np.array([store_position]))[0]
-        sketch = sketch_of(row)
-        position = int(np.searchsorted(self._ids, sequence_id))
-        self._ids = np.insert(self._ids, position, sequence_id)
-        self._features = np.insert(self._features, position, row, axis=0)
-        self._sketches = np.insert(self._sketches, position, sketch, axis=0)
-        self._assign(sequence_id, sketch)
+                cluster.admit(sequence_id, float(gap))
+            else:
+                cluster = _Cluster(sketch.copy())
+                cluster.admit(sequence_id, 0.0)
+                self._clusters.append(cluster)
+                founded.append(sketch)
+            self._cluster_of[sequence_id] = cluster
 
     # ------------------------------------------------------------------
     # Query: probe representatives -> lower-bound prune -> heap refine

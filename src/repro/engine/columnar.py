@@ -32,7 +32,8 @@ The store is kept in sync with the database on ``insert``/``delete``:
 inserts append (amortized via capacity doubling, with a batch
 :meth:`extend` for bulk ingest), deletes compact the columns in place so
 vectorized scans never have to skip tombstones, and the streaming
-append path splices one sequence's rows in place (:meth:`~ColumnarSegmentStore.replace_many`).
+append path splices a batch's rows in place, one multi-range pass per
+column table (:meth:`~ColumnarSegmentStore.replace_many`).
 Every mutation bumps :attr:`~ColumnarSegmentStore.generation` *and*
 records the touched sequence ids in the store's
 :class:`~repro.engine.journal.MutationJournal`, so the plan-level
@@ -63,6 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ColumnarSegmentStore",
     "attach_from_manifest",
+    "stack_rows",
     "collapse_code_runs",
     "SYMBOL_BACKENDS",
 ]
@@ -171,40 +173,73 @@ class _ColumnSet:
             self._arrays[name][self._size : needed] = arr
         self._size = needed
 
-    def replace_range(self, lo: int, hi: int, columns: "dict[str, np.ndarray]") -> None:
-        """Splice ``columns`` in place of rows ``lo:hi``.
+    def splice(
+        self, los: np.ndarray, his: np.ndarray, counts: np.ndarray, columns: "dict[str, np.ndarray]"
+    ) -> None:
+        """Replace each row range ``los[i]:his[i]`` by the next ``counts[i]``
+        rows of ``columns``, for many ranges in one pass.
 
-        The tail shifts by the row-count difference in one pass per
-        column; surviving rows are exactly what deleting rows ``lo:hi``
-        and inserting ``columns`` at ``lo`` would leave.  This is the
-        streaming append path's primitive: an appended sequence's
-        re-broken rows overwrite its old rows without rebuilding the
-        arrays around them.
+        The ranges must ascend and be disjoint.  Surviving rows are
+        exactly what deleting every range and inserting each block at
+        its range's start would leave.  Each kept gap between ranges
+        moves once, by the net row change of the ranges before it (gaps
+        that do not move are not touched), then each new block is
+        written at its range's shifted start.  This is the streaming append
+        path's primitive: a shard's appended sequences overwrite their
+        old rows together, however many they are.
         """
-        if set(columns) != set(self._schema):
+        if columns.keys() != self._schema.keys():
             raise EngineError(
                 f"column mismatch: expected {sorted(self._schema)}, got {sorted(columns)}"
             )
         n_new = len(next(iter(columns.values())))
         if any(len(arr) != n_new for arr in columns.values()):
             raise EngineError("replacement columns disagree in length")
-        if not (0 <= lo <= hi <= self._size):
-            raise EngineError(f"row range [{lo}, {hi}) outside live rows [0, {self._size})")
-        delta = n_new - (hi - lo)
-        needed = self._size + delta
+        lo_list = np.asarray(los, dtype=np.int64).tolist()
+        hi_list = np.asarray(his, dtype=np.int64).tolist()
+        count_list = np.asarray(counts, dtype=np.int64).tolist()
+        if not len(lo_list) == len(hi_list) == len(count_list) or sum(count_list) != n_new:
+            raise EngineError("splice ranges, counts and replacement rows disagree")
+        # The ranges are few (one per spliced sequence), so the plan is
+        # laid out on Python ints: where each new block lands, and which
+        # kept gaps move by how much.
+        gap_ends = [*lo_list[1:], self._size]
+        previous_hi = 0
+        shift = 0
+        block_at = 0
+        writes = []
+        moves = []
+        for lo, hi, count, gap_end in zip(lo_list, hi_list, count_list, gap_ends):
+            if not previous_hi <= lo <= hi <= self._size:
+                raise EngineError(
+                    f"row range [{lo}, {hi}) is out of order or outside live rows "
+                    f"[0, {self._size})"
+                )
+            previous_hi = hi
+            writes.append((lo + shift, block_at, block_at + count))
+            block_at += count
+            shift += count - (hi - lo)
+            if shift and gap_end > hi:
+                moves.append((hi, gap_end, shift))
+        needed = self._size + shift
+        # The kept rows after a range move by the row delta of every
+        # range up to it.  Left-moving gaps go first to last and
+        # right-moving ones last to first, so no gap is overwritten
+        # before it has moved; gaps that do not move are not touched.
+        moves = [move for move in moves if move[2] < 0] + [
+            move for move in reversed(moves) if move[2] > 0
+        ]
         if needed > self.capacity:
             self._reallocate(max(needed, 2 * self.capacity, 16))
-        if delta > 0:
-            for arr in self._arrays.values():
-                # Rightward overlapping shift: stage the tail first.
-                arr[hi + delta : needed] = arr[hi : self._size].copy()
-        elif delta < 0:
-            for arr in self._arrays.values():
-                arr[hi + delta : needed] = arr[hi : self._size]
-        for name, arr in columns.items():
-            self._arrays[name][lo : lo + n_new] = arr
+        for name, arr in self._arrays.items():
+            for lo, hi, move in moves:
+                arr[lo + move : hi + move] = arr[lo:hi]
+            block = columns[name]
+            for at, block_lo, block_hi in writes:
+                arr[at : at + block_hi - block_lo] = block[block_lo:block_hi]
+        shrinking = needed < self._size
         self._size = needed
-        if delta < 0:
+        if shrinking:
             self._maybe_shrink()
 
     def delete_where(self, drop: np.ndarray) -> None:
@@ -267,6 +302,100 @@ _SEQUENCE_SCHEMA = {
     "max_rising_slope": np.float64,
     "source_length": np.int64,
 }
+
+
+def _joined(parts: "list[np.ndarray]") -> np.ndarray:
+    """``np.concatenate(parts)``, without the copy when there is one part
+    (the stacked blocks are only read before the store copies them)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def stack_rows(
+    batch: "list[tuple[int, FunctionSeriesRepresentation, int, Any]]", theta: float
+) -> "tuple[dict[str, np.ndarray], ...]":
+    """A batch's rows, stacked in item order, before any column moves.
+
+    Returns the segment, behaviour and R-R row blocks and the
+    sequence-table columns without the ``*_start`` offsets, which
+    the caller places, with symbols classified at ``theta``.  One
+    concatenate per column, one slope classification, one run collapse
+    and one per-sequence reduction cover the whole batch, so insert and
+    append derive every stored value by the same expressions — and a
+    sharded store stacks an append batch once for all its shards.
+    Raises on a malformed payload.
+    """
+    n_batch = len(batch)
+    ids = np.empty(n_batch, dtype=np.int64)
+    seg_counts = np.empty(n_batch, dtype=np.int64)
+    rr_counts = np.empty(n_batch, dtype=np.int64)
+    peak_counts = np.empty(n_batch, dtype=np.int64)
+    source_lengths = np.empty(n_batch, dtype=np.int64)
+    representation_columns = [name for name in _SEGMENT_SCHEMA if name not in ("sequence", "symbol")]
+    column_parts: "dict[str, list[np.ndarray]]" = {name: [] for name in representation_columns}
+    rr_parts: "list[np.ndarray]" = []
+    for i, (sequence_id, representation, peak_count, rr) in enumerate(batch):
+        rr_arr = np.asarray(rr, dtype=np.float64)
+        if rr_arr.ndim != 1:
+            raise EngineError(
+                f"rr intervals of sequence {int(sequence_id)} must be "
+                f"one-dimensional, got shape {rr_arr.shape}"
+            )
+        columns = representation.segment_columns()
+        ids[i] = int(sequence_id)
+        seg_counts[i] = len(columns["slope"])
+        rr_counts[i] = len(rr_arr)
+        peak_counts[i] = int(peak_count)
+        source_lengths[i] = int(representation.source_length)
+        for name in representation_columns:
+            column_parts[name].append(columns[name])
+        rr_parts.append(rr_arr)
+
+    block = {
+        name: _joined(parts).astype(_SEGMENT_SCHEMA[name], copy=False)
+        for name, parts in column_parts.items()
+    }
+    slopes = block["slope"]
+    codes = classify_slopes(slopes, theta)
+    seg_seq = np.repeat(ids, seg_counts)
+    starts = np.zeros(n_batch, dtype=np.int64)
+    seg_counts[:-1].cumsum(out=starts[1:])
+    nonempty = seg_counts > 0
+    beh_counts = np.zeros(n_batch, dtype=np.int64)
+    max_rising = np.zeros(n_batch, dtype=np.float64)
+    if len(slopes):
+        # Run collapse across the whole block, per-sequence semantics
+        # in one pass: sequence boundaries always open a run.
+        group_starts = starts[nonempty]
+        keep = run_start_mask(codes, group_starts)
+        collapsed = codes[keep]
+        beh_seq = seg_seq[keep]
+        # Empty sequences occupy no rows, so consecutive non-empty
+        # slices are adjacent and reduceat over their starts is exact.
+        beh_counts[nonempty] = np.add.reduceat(keep, group_starts, dtype=np.int64)
+        rising = np.where(slopes > 0.0, slopes, 0.0)
+        max_rising[nonempty] = np.maximum.reduceat(rising, group_starts)
+    else:
+        collapsed = codes
+        beh_seq = seg_seq
+    block["sequence"] = seg_seq
+    block["symbol"] = codes
+    return (
+        block,
+        {"sequence": beh_seq, "symbol": collapsed.astype(np.int8, copy=False)},
+        {
+            "sequence": np.repeat(ids, rr_counts),
+            "value": _joined(rr_parts) if rr_parts else np.empty(0),
+        },
+        {
+            "sequence_id": ids,
+            "segment_count": seg_counts,
+            "behavior_count": beh_counts,
+            "rr_count": rr_counts,
+            "peak_count": peak_counts,
+            "max_rising_slope": max_rising,
+            "source_length": source_lengths,
+        },
+    )
 
 
 class ColumnarSegmentStore:
@@ -683,98 +812,32 @@ class ColumnarSegmentStore:
         if not batch:
             return
         last = int(self.sequence_ids[-1]) if len(self._sequences) else -1
-        n_batch = len(batch)
-        ids = np.empty(n_batch, dtype=np.int64)
-        seg_counts = np.empty(n_batch, dtype=np.int64)
-        rr_counts = np.empty(n_batch, dtype=np.int64)
-        peak_counts = np.empty(n_batch, dtype=np.int64)
-        source_lengths = np.empty(n_batch, dtype=np.int64)
-        representation_columns = [name for name in _SEGMENT_SCHEMA if name not in ("sequence", "symbol")]
-        column_parts: "dict[str, list[np.ndarray]]" = {name: [] for name in representation_columns}
-        rr_parts: "list[np.ndarray]" = []
-        for i, (sequence_id, representation, peak_count, rr) in enumerate(batch):
-            sequence_id = int(sequence_id)
+        for item in batch:
+            sequence_id = int(item[0])
             if sequence_id <= last:
                 raise EngineError(
                     f"sequence ids must be inserted in increasing order "
                     f"({sequence_id} after {last})"
                 )
             last = sequence_id
-            columns = representation.segment_columns()
-            rr_arr = np.asarray(rr, dtype=np.float64)
-            ids[i] = sequence_id
-            seg_counts[i] = len(columns["slope"])
-            rr_counts[i] = len(rr_arr)
-            peak_counts[i] = int(peak_count)
-            source_lengths[i] = int(representation.source_length)
-            for name in representation_columns:
-                column_parts[name].append(columns[name])
-            rr_parts.append(rr_arr)
-
-        block = {
-            name: np.concatenate(parts).astype(_SEGMENT_SCHEMA[name], copy=False)
-            for name, parts in column_parts.items()
-        }
-        slopes = block["slope"]
-        n_total = len(slopes)
-        codes = classify_slopes(slopes, self.theta)
-        seg_seq = np.repeat(ids, seg_counts)
-        starts = np.zeros(n_batch, dtype=np.int64)
-        np.cumsum(seg_counts[:-1], out=starts[1:])
-        nonempty = seg_counts > 0
-        beh_counts = np.zeros(n_batch, dtype=np.int64)
-        max_rising = np.zeros(n_batch, dtype=np.float64)
-        if n_total:
-            # Run collapse across the whole block, per-sequence semantics
-            # in one pass: sequence boundaries always open a run.
-            keep = run_start_mask(codes, starts[nonempty])
-            collapsed = codes[keep]
-            beh_seq = seg_seq[keep]
-            # Empty sequences occupy no rows, so consecutive non-empty
-            # slices are adjacent and reduceat over their starts is exact.
-            beh_counts[nonempty] = np.add.reduceat(keep.astype(np.int64), starts[nonempty])
-            rising = np.where(slopes > 0.0, slopes, 0.0)
-            max_rising[nonempty] = np.maximum.reduceat(rising, starts[nonempty])
-        else:
-            collapsed = codes
-            beh_seq = seg_seq
-
-        rr_values = np.concatenate(rr_parts) if rr_parts else np.empty(0)
-        rr_seq = np.repeat(ids, rr_counts)
-
-        seg_start_base = len(self._segments)
-        beh_start_base = len(self._behavior)
-        rr_start_base = len(self._rr)
-        beh_starts = np.zeros(n_batch, dtype=np.int64)
-        np.cumsum(beh_counts[:-1], out=beh_starts[1:])
-        rr_starts = np.zeros(n_batch, dtype=np.int64)
-        np.cumsum(rr_counts[:-1], out=rr_starts[1:])
-
-        block["sequence"] = seg_seq
-        block["symbol"] = codes
+        segments, behavior, rr, table = stack_rows(batch, self.theta)
+        for column, rows in (
+            ("segment", len(self._segments)),
+            ("behavior", len(self._behavior)),
+            ("rr", len(self._rr)),
+        ):
+            counts = table[f"{column}_count"]
+            starts = np.zeros(len(counts), dtype=np.int64)
+            counts[:-1].cumsum(out=starts[1:])
+            table[f"{column}_start"] = rows + starts
         self._succinct_mark_stale()
         self._begin_write()
-        self._segments.extend(block)
-        self._behavior.extend(
-            {"sequence": beh_seq, "symbol": collapsed.astype(np.int8, copy=False)}
-        )
-        self._rr.extend({"sequence": rr_seq, "value": rr_values})
-        self._sequences.extend(
-            {
-                "sequence_id": ids,
-                "segment_start": seg_start_base + starts,
-                "segment_count": seg_counts,
-                "behavior_start": beh_start_base + beh_starts,
-                "behavior_count": beh_counts,
-                "rr_start": rr_start_base + rr_starts,
-                "rr_count": rr_counts,
-                "peak_count": peak_counts,
-                "max_rising_slope": max_rising,
-                "source_length": source_lengths,
-            }
-        )
+        self._segments.extend(segments)
+        self._behavior.extend(behavior)
+        self._rr.extend(rr)
+        self._sequences.extend(table)
         self._generation += 1
-        self._journal.record(self._generation, "insert", ids.tolist())
+        self._journal.record(self._generation, "insert", table["sequence_id"].tolist())
         self._commit_write()
 
     def delete(self, sequence_id: int) -> None:
@@ -860,14 +923,17 @@ class ColumnarSegmentStore:
         """Rewrite many live sequences' rows in place — the streaming
         append path's columnar tail rewrite.
 
-        Each item's segment/behaviour/R-R rows are spliced over the
-        sequence's existing row ranges (:meth:`_ColumnSet.replace_range`)
-        and its sequence-table row is refreshed, leaving columns
-        identical to deleting and re-inserting the sequence at its
-        original position.  The whole batch bumps ``generation`` once
-        and records one ``"append"`` journal entry, so cached answers
-        see exactly one mutation naming exactly the touched ids.  Ids
-        must be live and unique (validated before anything changes).
+        The batch is stacked like an :meth:`extend` block (one slope
+        classification and one run collapse for all items), then each
+        column table takes one multi-range :meth:`_ColumnSet.splice`
+        over the items' existing row ranges, the items' sequence-table
+        rows are refreshed, and the offsets are recomputed from the
+        counts with one ``cumsum`` per table.  Columns end identical to
+        deleting and re-inserting every item at its original position.
+        The whole batch bumps ``generation`` once and records one
+        ``"append"`` journal entry, so cached answers see exactly one
+        mutation naming exactly the touched ids.  Ids must be live and
+        unique (validated before anything changes).
         """
         batch = list(items)
         if not batch:
@@ -875,85 +941,60 @@ class ColumnarSegmentStore:
         ids = [int(item[0]) for item in batch]
         if len(set(ids)) != len(ids):
             raise EngineError("duplicate sequence ids in replace batch")
-        self.positions_of(np.sort(np.asarray(ids, dtype=np.int64)))
-        # Materialize and validate every payload before the first splice
-        # — a malformed item must not leave the columns half-rewritten.
-        prepared = []
-        for sequence_id, representation, peak_count, rr in batch:
-            rr_arr = np.asarray(rr, dtype=np.float64)
-            if rr_arr.ndim != 1:
-                raise EngineError(
-                    f"rr intervals of sequence {int(sequence_id)} must be "
-                    f"one-dimensional, got shape {rr_arr.shape}"
-                )
-            representation.segment_columns()  # raises here, not mid-splice
-            prepared.append((int(sequence_id), representation, int(peak_count), rr_arr))
+        positions = self.positions_of(ids)
+        # Splice in store order; stacking materializes and validates
+        # every payload before the first column moves, so a malformed
+        # item leaves the columns untouched.
+        order = np.argsort(positions, kind="stable")
+        self.replace_stacked(
+            positions[order], *stack_rows([batch[i] for i in order.tolist()], self.theta)
+        )
+
+    def replace_stacked(
+        self,
+        positions: np.ndarray,
+        segments: "dict[str, np.ndarray]",
+        behavior: "dict[str, np.ndarray]",
+        rr: "dict[str, np.ndarray]",
+        table: "dict[str, np.ndarray]",
+    ) -> None:
+        """Splice :func:`stack_rows` output over the live sequences at the
+        ascending store ``positions`` (the body of :meth:`replace_many`,
+        and what a sharded store calls with its slice of one stack).
+
+        One :meth:`_ColumnSet.splice` per column table, offsets
+        recomputed from the counts, one generation bump and one
+        ``"append"`` journal entry.  The caller guarantees the positions
+        are live and the stack is theirs, in the same order.
+        """
+        seg_lo = self.segment_starts[positions]
+        beh_lo = self.behavior_starts[positions]
+        rr_lo = self.rr_starts[positions]
         self._succinct_mark_stale()
         self._begin_write()
-        for sequence_id, representation, peak_count, rr_arr in prepared:
-            self._replace_one(sequence_id, representation, peak_count, rr_arr)
+        self._segments.splice(
+            seg_lo, seg_lo + self.segment_counts[positions], table["segment_count"], segments
+        )
+        self._behavior.splice(
+            beh_lo, beh_lo + self.behavior_counts[positions], table["behavior_count"], behavior
+        )
+        self._rr.splice(rr_lo, rr_lo + self.rr_counts[positions], table["rr_count"], rr)
+        # Offsets are exclusive prefix sums of the counts, as after a
+        # delete.
+        for starts, counts, column in (
+            (self.segment_starts, self.segment_counts, "segment_count"),
+            (self.behavior_starts, self.behavior_counts, "behavior_count"),
+            (self.rr_starts, self.rr_counts, "rr_count"),
+        ):
+            counts[positions] = table[column]
+            starts[0] = 0
+            counts[:-1].cumsum(out=starts[1:])
+        self.peak_counts[positions] = table["peak_count"]
+        self.max_rising_slopes[positions] = table["max_rising_slope"]
+        self.source_lengths[positions] = table["source_length"]
         self._generation += 1
-        self._journal.record(self._generation, "append", ids)
+        self._journal.record(self._generation, "append", table["sequence_id"].tolist())
         self._commit_write()
-
-    def _replace_one(
-        self,
-        sequence_id: int,
-        representation: "FunctionSeriesRepresentation",
-        peak_count: int,
-        rr: np.ndarray,
-    ) -> None:
-        self._succinct_mark_stale()  # idempotent under the batch's earlier call
-        p = self.position_of(sequence_id)
-        columns = representation.segment_columns()
-        slopes = np.asarray(columns["slope"], dtype=np.float64)
-        codes = classify_slopes(slopes, self.theta)
-        collapsed = collapse_code_runs(codes)
-        n_seg = len(slopes)
-        n_beh = len(collapsed)
-        n_rr = len(rr)
-
-        seg_lo = int(self.segment_starts[p])
-        old_seg = int(self.segment_counts[p])
-        beh_lo = int(self.behavior_starts[p])
-        old_beh = int(self.behavior_counts[p])
-        rr_lo = int(self.rr_starts[p])
-        old_rr = int(self.rr_counts[p])
-
-        block = {
-            name: np.asarray(columns[name]).astype(_SEGMENT_SCHEMA[name], copy=False)
-            for name in _SEGMENT_SCHEMA
-            if name not in ("sequence", "symbol")
-        }
-        block["sequence"] = np.full(n_seg, sequence_id, dtype=np.int64)
-        block["symbol"] = codes
-        self._segments.replace_range(seg_lo, seg_lo + old_seg, block)
-        self._behavior.replace_range(
-            beh_lo,
-            beh_lo + old_beh,
-            {
-                "sequence": np.full(n_beh, sequence_id, dtype=np.int64),
-                "symbol": collapsed.astype(np.int8, copy=False),
-            },
-        )
-        self._rr.replace_range(
-            rr_lo,
-            rr_lo + old_rr,
-            {"sequence": np.full(n_rr, sequence_id, dtype=np.int64), "value": rr},
-        )
-        self.segment_counts[p] = n_seg
-        self.behavior_counts[p] = n_beh
-        self.rr_counts[p] = n_rr
-        self.segment_starts[p + 1 :] += n_seg - old_seg
-        self.behavior_starts[p + 1 :] += n_beh - old_beh
-        self.rr_starts[p + 1 :] += n_rr - old_rr
-        self.peak_counts[p] = peak_count
-        # Same clamp-then-max the batched insert reduces with, so the
-        # stored scalar is bit-identical across the two paths.
-        self.max_rising_slopes[p] = (
-            float(np.maximum(slopes, 0.0).max()) if n_seg else 0.0
-        )
-        self.source_lengths[p] = int(representation.source_length)
 
     # ------------------------------------------------------------------
     # Integrity

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence as TypingSequence
 import numpy as np
 
 from repro.core.errors import EngineError
-from repro.engine.columnar import ColumnarSegmentStore
+from repro.engine.columnar import ColumnarSegmentStore, stack_rows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from typing import Any
@@ -326,23 +326,48 @@ class ShardedSegmentStore:
     ) -> None:
         """Rewrite many live sequences' rows, batched per owning shard.
 
-        Each touched shard splices its items in one
-        :meth:`ColumnarSegmentStore.replace_many` call — one generation
-        bump and one ``"append"`` journal entry per shard; untouched
-        shards (and their cached per-shard stage outputs) are left
-        entirely alone.  The whole batch is validated up front.
+        The whole batch is validated (every id live and unique) before
+        any shard changes, then stacked once (:func:`stack_rows`: one
+        slope classification and run collapse for all shards), and each
+        touched shard splices its contiguous slice of the stack — one
+        pass per column table, one generation bump and one ``"append"``
+        journal entry per shard; untouched shards (and their cached
+        per-shard stage outputs) are left entirely alone.
         """
         batch = list(items)
         if not batch:
             return
-        missing = [int(item[0]) for item in batch if int(item[0]) not in self]
-        if missing:
-            raise EngineError(f"sequences {sorted(set(missing))} not in columnar store")
-        groups: "dict[int, list]" = {}
-        for item in batch:
-            groups.setdefault(self.shard_index(int(item[0])), []).append(item)
-        for shard_index, group in groups.items():
-            self._shards[shard_index].replace_many(group)
+        ids = np.array([int(item[0]) for item in batch], dtype=np.int64)
+        if len(np.unique(ids)) != len(ids):
+            raise EngineError("duplicate sequence ids in replace batch")
+        owners = np.array([self.shard_index(sequence_id) for sequence_id in ids.tolist()])
+        groups = []
+        for index in np.unique(owners).tolist():
+            members = np.flatnonzero(owners == index)
+            shard = self._shards[index]
+            positions = shard.positions_of(ids[members])  # raises before any write
+            order = np.argsort(positions, kind="stable")
+            groups.append((shard, members[order], positions[order]))
+        segments, behavior, rr, table = stack_rows(
+            [batch[i] for __, members, __ in groups for i in members.tolist()], self.theta
+        )
+        item_lo = 0
+        row_lo = {"segment": 0, "behavior": 0, "rr": 0}
+        for shard, members, positions in groups:
+            item_hi = item_lo + len(members)
+            rows = {}
+            for kind in row_lo:
+                row_hi = row_lo[kind] + int(table[f"{kind}_count"][item_lo:item_hi].sum())
+                rows[kind] = slice(row_lo[kind], row_hi)
+                row_lo[kind] = row_hi
+            shard.replace_stacked(
+                positions,
+                {name: column[rows["segment"]] for name, column in segments.items()},
+                {name: column[rows["behavior"]] for name, column in behavior.items()},
+                {name: column[rows["rr"]] for name, column in rr.items()},
+                {name: column[item_lo:item_hi] for name, column in table.items()},
+            )
+            item_lo = item_hi
 
     def delete(self, sequence_id: int) -> None:
         """Drop one sequence from its owning shard (see :meth:`delete_many`)."""

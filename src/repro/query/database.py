@@ -493,15 +493,17 @@ class SequenceDatabase:
         ``items`` yields ``(sequence_id, values)`` or ``(sequence_id,
         values, times)`` tuples.  Breaking runs through the breaker's
         batch :meth:`~repro.segmentation.base.Breaker.extend_indices_many`
-        (frontier-batched suffix rescans for online breakers, the
-        frontier-batched full re-break otherwise), only the changed
-        suffix windows are refitted
+        (suffix rescans for online breakers — lane by lane below the
+        measured frontier crossover, lock-step above it — the
+        frontier-batched full re-break otherwise), the changed suffix
+        windows of the whole batch are refitted in one call
         (:meth:`FunctionSeriesRepresentation.from_breakpoints_reusing`),
         symbols, peaks and R-R intervals come from the same batch
         derivation :meth:`insert_all` uses, and the columnar store
-        splices all touched rows with one generation bump per touched
-        shard.  The whole batch is validated before anything mutates.
-        Returns the new lengths, in item order.
+        splices each touched shard's rows in one pass per column table,
+        with one generation bump per touched shard.  The whole batch is
+        validated before anything mutates.  Returns the new lengths, in
+        item order.
         """
         batch: "list[tuple[int, np.ndarray, object]]" = []
         for item in items:
@@ -562,16 +564,13 @@ class SequenceDatabase:
         else:
             previous = [self._representations[sequence_id].windows() for sequence_id in ids]
             boundaries = self.breaker.extend_indices_many(list(zip(extended, previous)))
-            representations = [
-                FunctionSeriesRepresentation.from_breakpoints_reusing(
-                    sequence,
-                    bounds,
-                    self._representations[sequence_id],
-                    curve_kind=self.curve_kind,
-                    epsilon=self.breaker.epsilon,
-                )
-                for sequence_id, sequence, bounds in zip(ids, extended, boundaries)
-            ]
+            representations = FunctionSeriesRepresentation.from_breakpoints_reusing(
+                extended,
+                boundaries,
+                [self._representations[sequence_id] for sequence_id in ids],
+                curve_kind=self.curve_kind,
+                epsilon=self.breaker.epsilon,
+            )
 
         # Breaking/refitting (the stage a user-supplied breaker can fail
         # in) is done; only now touch durable state, archive first.

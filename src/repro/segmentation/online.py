@@ -21,6 +21,24 @@ the tail, not the sequence.  :class:`IncrementalRegressionBreaker`
 additionally batches those rescans into a lock-step *frontier* (one
 vectorized round per sample position across every appended sequence),
 the online counterpart of the offline ``break_frontier`` kernel.
+
+The frontier pays about 25 NumPy calls per round whatever its width, so
+it only wins on wide batches.  Frontier time over per-lane scalar scan
+time, for ECGs of ``repro.workloads.ecg_corpus`` (seed 1) broken at
+epsilon 4 after 500 samples and extended by 25 (suffixes of ~50
+samples: the open segment plus the new tail), best of interleaved
+repeats on a 2-vCPU x86-64 Linux VM, CPython 3.11, NumPy 2.4:
+
+=========  ====  ====  ====  =====  =====  =====  =====
+lanes      8     16    32    64     128    256    1000
+ratio      4.2x  2.5x  1.6x  1.15x  0.93x  0.68x  0.45x
+=========  ====  ====  ====  =====  =====  =====  =====
+
+Below the 128-lane crossover a batch runs the scalar scan lane by lane,
+and a frontier retires its stragglers to the scalar scan at the same
+width.  A streaming tick (16 appended sequences) therefore never enters
+the frontier; re-breaks of hundreds of sequences do.  The crossover
+moves with suffix length and with the scalar scan's per-sample cost.
 """
 
 from __future__ import annotations
@@ -189,9 +207,12 @@ class IncrementalRegressionBreaker(Breaker):
             sequence.times, sequence.values, resume
         )
 
-    #: Below this many live lanes the vectorized round is all overhead;
-    #: stragglers finish through the scalar scan with carried-over state.
-    _MIN_FRONTIER = 8
+    #: The measured frontier/scalar crossover on ECG appends (see the
+    #: module docstring: 0.93x at 128 lanes, 2.5x slower at 16, 0.45x at
+    #: 1000).  A batch with fewer items scans lane by lane; a frontier
+    #: whose live lanes fall below it finishes them through the scalar
+    #: scan with carried-over state.
+    _MIN_FRONTIER = 128
 
     def extend_indices_many(
         self, items: "Iterable[tuple[Sequence, Boundaries]]"
@@ -207,13 +228,14 @@ class IncrementalRegressionBreaker(Breaker):
         than ``_MIN_FRONTIER`` lanes remain they finish through the
         scalar scan continuing from their vector state — so cost and
         memory are O(sum of suffix lengths), not O(lanes x longest).
-        Elementwise float64 arithmetic matches the scalar scan's
-        operation order exactly, so the boundaries are identical to
-        per-sequence :meth:`extend_indices`.
+        A batch of fewer than ``_MIN_FRONTIER`` items never enters the
+        frontier: each item runs :meth:`extend_indices`.  Elementwise
+        float64 arithmetic matches the scalar scan's operation order
+        exactly, so the boundaries are identical to per-sequence
+        :meth:`extend_indices` either way.
         """
         items = list(items)
-        if len(items) <= 2:
-            # Frontier setup does not pay for itself on tiny batches.
+        if len(items) < self._MIN_FRONTIER:
             return [self.extend_indices(sequence, previous) for sequence, previous in items]
         n_items = len(items)
         resumes = np.empty(n_items, dtype=np.int64)

@@ -26,7 +26,7 @@ checks two things:
    is the caller's problem, not a journalling one).
 
 Column mutations are: mutating calls (``extend`` / ``delete_range`` /
-``delete_where`` / ``replace_range``) on an attribute initialised from
+``delete_where`` / ``splice``) on an attribute initialised from
 ``_ColumnSet(...)``; subscript writes through a column-view property
 (a property whose getter reads a column-set attribute); and calls to a
 private helper of the same class that itself mutates (the helper is
@@ -49,7 +49,7 @@ RULE_ID = "RL001"
 
 #: _ColumnSet methods that rewrite rows.
 MUTATING_COLUMN_CALLS = frozenset(
-    {"extend", "delete_range", "delete_where", "replace_range"}
+    {"extend", "delete_range", "delete_where", "splice"}
 )
 
 #: Reviewed mutation surfaces per store class.  A journalled class with
@@ -65,7 +65,7 @@ MUTATOR_WHITELIST: "dict[str, frozenset[str]]" = {
             "delete_many",
             "replace",
             "replace_many",
-            "_replace_one",
+            "replace_stacked",
         }
     ),
 }

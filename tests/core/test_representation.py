@@ -217,7 +217,9 @@ class TestReusingFit:
 
     def test_reuses_prefix_and_prefills_columns(self):
         seq, previous, bounds = self._prefix_and_full()
-        reused = FunctionSeriesRepresentation.from_breakpoints_reusing(seq, bounds, previous)
+        (reused,) = FunctionSeriesRepresentation.from_breakpoints_reusing(
+            [seq], [bounds], [previous]
+        )
         # The reused window keeps the previous fit's row verbatim.
         assert reused.segments[0] == previous.segments[0]
         for reused_column, previous_column in zip(
@@ -236,8 +238,86 @@ class TestReusingFit:
         seq, previous, bounds = self._prefix_and_full()
         decoded = decode_representation(encode_representation(previous))
         assert decoded.line_coefficients() is not None  # decoded straight into arrays
-        reused = FunctionSeriesRepresentation.from_breakpoints_reusing(seq, bounds, decoded)
+        (reused,) = FunctionSeriesRepresentation.from_breakpoints_reusing(
+            [seq], [bounds], [decoded]
+        )
         assert reused.line_coefficients() is not None
         fresh = FunctionSeriesRepresentation.from_breakpoints(seq, bounds)
         for name, column in fresh.segment_columns().items():
             assert np.array_equal(reused.segment_columns()[name], column), name
+
+
+class TestReusingFitBatch:
+    """One ``from_breakpoints_reusing`` call over a batch mixing every
+    reuse shape: each result's bytes equal a from-scratch fit."""
+
+    @staticmethod
+    def _wave(n, seed):
+        rng = np.random.default_rng(seed)
+        t = np.arange(n, dtype=float)
+        return Sequence(t, np.sin(t / 4.0) * 5.0 + rng.normal(0.0, 0.2, n), name=f"w{seed}")
+
+    def _batch(self, curve_kind):
+        full = [self._wave(60, seed) for seed in range(5)]
+        prefix = [Sequence(s.times[:40], s.values[:40], name=s.name) for s in full]
+        cases = [
+            # Windows unchanged on the same data: full reuse, no fit.
+            (prefix[0], [(0, 12), (13, 25), (26, 39)], [(0, 12), (13, 25), (26, 39)]),
+            # First window differs: no reuse, the whole item is refitted.
+            (full[1], [(0, 12), (13, 39)], [(0, 9), (10, 30), (31, 59)]),
+            # Segment count shrinks: two previous windows become one.
+            (full[2], [(0, 12), (13, 25), (26, 39)], [(0, 12), (13, 59)]),
+            # The usual append: only the trailing window changes.
+            (full[3], [(0, 20), (21, 39)], [(0, 20), (21, 44), (45, 59)]),
+            # Single-point windows on both sides of the junction.
+            (full[4], [(0, 0), (1, 39)], [(0, 0), (1, 1), (2, 59)]),
+        ]
+        sequences = [sequence for sequence, __, __ in cases]
+        previous = [
+            FunctionSeriesRepresentation.from_breakpoints(
+                Sequence(sequence.times[: old[-1][1] + 1], sequence.values[: old[-1][1] + 1]),
+                old,
+                curve_kind=curve_kind,
+            )
+            for sequence, old, __ in cases
+        ]
+        return sequences, [new for __, __, new in cases], previous
+
+    @pytest.mark.parametrize("curve_kind", ["regression", "interpolation", "bezier"])
+    def test_mixed_batch_is_byte_identical_to_fresh_fits(self, monkeypatch, curve_kind):
+        from repro.storage.serialization import encode_representation
+
+        sequences, boundaries, previous = self._batch(curve_kind)
+        calls = []
+        many = FunctionSeriesRepresentation.from_breakpoints_many.__func__
+
+        def spy(cls, suffix_sequences, suffix_boundaries, **kwargs):
+            calls.append([len(b) for b in suffix_boundaries])
+            return many(cls, suffix_sequences, suffix_boundaries, **kwargs)
+
+        monkeypatch.setattr(FunctionSeriesRepresentation, "from_breakpoints_many", classmethod(spy))
+        reused = FunctionSeriesRepresentation.from_breakpoints_reusing(
+            sequences, boundaries, previous, curve_kind=curve_kind
+        )
+        monkeypatch.undo()
+        # One fit for every changed suffix; the full-reuse item fits nothing.
+        assert calls == [[3, 1, 2, 2]]
+        for sequence, bounds, rep in zip(sequences, boundaries, reused):
+            fresh = FunctionSeriesRepresentation.from_breakpoints(
+                sequence, bounds, curve_kind=curve_kind
+            )
+            assert encode_representation(rep) == encode_representation(fresh)
+            assert (rep.line_coefficients() is None) == (curve_kind == "bezier")
+
+    def test_junction_overlap_and_empty_item_rejected(self):
+        sequences, boundaries, previous = self._batch("regression")
+        bad = list(boundaries)
+        bad[3] = [(0, 20), (20, 59)]  # reused window, then an overlapping suffix
+        with pytest.raises(SequenceError, match="segments overlap"):
+            FunctionSeriesRepresentation.from_breakpoints_reusing(sequences, bad, previous)
+        bad[3] = []
+        with pytest.raises(SequenceError, match="at least one segment"):
+            FunctionSeriesRepresentation.from_breakpoints_reusing(sequences, bad, previous)
+        with pytest.raises(SequenceError, match="disagree"):
+            FunctionSeriesRepresentation.from_breakpoints_reusing(sequences, boundaries, previous[:2])
+        assert FunctionSeriesRepresentation.from_breakpoints_reusing([], [], []) == []

@@ -12,13 +12,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.clustering import (
     N_FEATURES,
     ClusterIndex,
+    _sketch_gaps,
     chunked_distances,
     lower_bound_scale,
     profile_features,
+    profile_rows,
     sketch_of,
 )
 from repro.index import stale_rebuild_due
@@ -72,6 +76,43 @@ def test_profile_features_empty_and_single_segment():
     assert single.shape == (N_FEATURES,)
     assert single[0] == pytest.approx(1.0)
     assert single[-1] == pytest.approx(9.0)
+
+
+def _interp_profile(start_times, end_times, start_values, end_values):
+    """The profile as one ``np.interp`` call over the interleaved endpoints."""
+    n = len(start_times)
+    if n == 0:
+        return np.zeros(N_FEATURES)
+    xp = np.empty(2 * n)
+    xp[0::2], xp[1::2] = start_times, end_times
+    fp = np.empty(2 * n)
+    fp[0::2], fp[1::2] = start_values, end_values
+    ts = xp[0] + (np.arange(N_FEATURES) / (N_FEATURES - 1)) * (xp[-1] - xp[0])
+    return np.interp(ts, xp, fp)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_profile_rows_equal_np_interp_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    pieces = []
+    for __ in range(int(rng.integers(1, 14))):
+        k = int(rng.integers(0, 40))
+        offset = rng.choice([0.0, 1e6, -3e3])
+        cuts = np.sort(rng.choice(100_000, size=2 * k, replace=False)) * rng.choice([1e-3, 1.0, 7.5])
+        start_times, end_times = cuts[0::2] + offset, cuts[1::2] + offset
+        single = rng.random(k) < 0.25  # one-point segments repeat a time
+        end_times[single] = start_times[single]
+        pieces.append((start_times, end_times, rng.normal(0, 40, k), rng.normal(0, 40, k)))
+    counts = np.array([len(piece[0]) for piece in pieces])
+    starts = np.cumsum(counts) - counts
+    order = rng.permutation(len(pieces))  # rows need not follow storage order
+    profiles = profile_rows(
+        *(np.concatenate([piece[c] for piece in pieces]) for c in range(4)),
+        starts[order],
+        counts[order],
+    )
+    for row, piece in zip(profiles, (pieces[i] for i in order)):
+        assert np.array_equal(row, _interp_profile(*piece))
 
 
 # ----------------------------------------------------------------------
@@ -264,3 +305,123 @@ def test_report_counters_move():
     assert after["last_rows_considered"] == 30
     assert 0.0 <= after["last_pruned_fraction"] <= 1.0
     assert after["nbytes"] > 0
+
+
+# ----------------------------------------------------------------------
+# Batched journal replay: property test against a fresh index
+# ----------------------------------------------------------------------
+
+_ANY = st.integers(0, 10**6)
+_ACTIONS = st.one_of(
+    st.tuples(st.just("insert"), st.integers(1, 3)),
+    st.tuples(st.just("delete"), st.lists(_ANY, min_size=1, max_size=3)),
+    # A 1e3 scale moves a profile far past tau: it founds a cluster.
+    st.tuples(
+        st.just("append"),
+        st.lists(_ANY, min_size=1, max_size=5),
+        st.integers(1, 40),
+        st.sampled_from([1.0, 1e3]),
+    ),
+    # Deleted and re-appended inside one sync window.
+    st.tuples(st.just("append_then_delete"), _ANY),
+)
+
+
+def _interleaved_replay(clusters, dirty, fresh, tau):
+    """The id-by-id replay: remove, then re-admit each dirty id in turn,
+    restacking every representative for each id (the leader rule)."""
+    clusters = [[rep.copy(), list(members), radius] for rep, members, radius in clusters]
+    owner = {m: k for k, (__, members, __) in enumerate(clusters) for m in members}
+    for sequence_id in sorted(dirty):
+        k = owner.pop(sequence_id, None)
+        if k is not None:
+            clusters[k][1].remove(sequence_id)
+        row = int(np.searchsorted(fresh._ids, sequence_id))
+        if row == len(fresh._ids) or fresh._ids[row] != sequence_id:
+            continue  # deleted
+        sketch = fresh._sketches[row]
+        if clusters:
+            gaps = _sketch_gaps(np.stack([cluster[0] for cluster in clusters]), sketch)
+            best = int(np.argmin(gaps))
+            if gaps[best] <= tau:
+                clusters[best][1].append(sequence_id)
+                clusters[best][2] = max(clusters[best][2], float(gaps[best]))
+                owner[sequence_id] = best
+                continue
+        clusters.append([sketch.copy(), [sequence_id], 0.0])
+        owner[sequence_id] = len(clusters) - 1
+    return clusters
+
+
+def _assert_replayed_like_fresh(store):
+    before = store._cluster_index
+    snapshot = [
+        (cluster.representative, cluster.member_ids, cluster.radius)
+        for cluster in before._clusters
+    ]
+    dirty = store.dirty_ids_since((before._synced_generation,))
+    rebuilds = before.rebuilds
+    index = store.cluster_index()
+    fresh = ClusterIndex(store)
+    fresh.sync()
+    assert np.array_equal(index._ids, fresh._ids)
+    assert np.array_equal(index._features, fresh._features)
+    assert np.array_equal(index._sketches, fresh._sketches)
+    members = [m for cluster in index._clusters for m in cluster.member_ids]
+    assert sorted(members) == index._ids.tolist()  # a partition of the live ids
+    for cluster in index._clusters:
+        if not cluster.member_ids:
+            continue
+        rows = np.searchsorted(index._ids, cluster.member_ids)
+        gaps = _sketch_gaps(index._sketches[rows], cluster.representative)
+        # The invariant the cluster lower bound prunes on.
+        assert bool((gaps <= cluster.radius).all())
+    if dirty is not None and index.rebuilds == rebuilds:
+        # The batched replay equals removing and re-admitting id by id:
+        # same representatives, member order and radii.
+        reference = _interleaved_replay(snapshot, dirty, fresh, index._tau)
+        assert len(reference) == len(index._clusters)
+        for (rep, members, radius), cluster in zip(reference, index._clusters):
+            assert np.array_equal(rep, cluster.representative)
+            assert members == cluster.member_ids
+            assert radius == cluster.radius
+    if len(index):
+        query = index._features[len(index) // 2] + 3.0
+        for k in (1, 3, len(index) + 2):
+            assert index.topk(query, k) == _oracle(index, query, k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_shards=st.sampled_from([1, 4]),
+    windows=st.lists(st.lists(_ACTIONS, min_size=1, max_size=4), min_size=1, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+def test_batched_replay_equals_fresh_index(n_shards, windows, seed):
+    rng = np.random.default_rng(seed)
+    db = SequenceDatabase(n_shards=n_shards)
+    db.insert_all(server_metrics_corpus(n_sequences=16, seed=17))
+    extra = iter(server_metrics_corpus(n_sequences=48, seed=5))
+    for shard in db.store.shards():
+        shard.cluster_index()  # built now: later syncs replay the journal
+    for window in windows:
+        for action in window:
+            ids = db.ids()
+            if action[0] == "insert":
+                db.insert_all([next(extra) for __ in range(action[1])])
+            elif not ids:
+                continue
+            elif action[0] == "delete":
+                db.delete_many(sorted({ids[i % len(ids)] for i in action[1]}))
+            elif action[0] == "append":
+                __, picks, size, scale = action
+                targets = sorted({ids[i % len(ids)] for i in picks})
+                db.append_many(
+                    [(target, scale * rng.normal(50.0, 5.0, size)) for target in targets]
+                )
+            else:
+                target = ids[action[1] % len(ids)]
+                db.append(target, rng.normal(50.0, 5.0, 7))
+                db.delete(target)
+        for shard in db.store.shards():
+            _assert_replayed_like_fresh(shard)

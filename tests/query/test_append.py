@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import QueryError
+from repro.core.representation import FunctionSeriesRepresentation
 from repro.core.sequence import Sequence
 from repro.query import (
     ExemplarQuery,
@@ -228,3 +229,98 @@ class TestAppendMechanics:
         db.append(sequence_id, [1.0, 2.0])
         appended_bytes = db.archive.log.bytes_written - written_before
         assert 0 < appended_bytes < 100  # two float64 samples, not the history
+
+
+def _table(store, column_set):
+    """Every live column of one of a leaf store's tables, copied."""
+    table = getattr(store, column_set)
+    return {name: table.column(name).copy() for name in table._schema}
+
+
+def _assert_same_columns(store, reference):
+    for column_set in ("_segments", "_behavior", "_rr", "_sequences"):
+        got = _table(store, column_set)
+        want = _table(reference, column_set)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), (column_set, name)
+
+
+class TestAppendBatchShapes:
+    """One append batch mixing every splice shape stays byte-identical."""
+
+    def test_store_splice_equals_reinsert(self):
+        from repro.engine.columnar import ColumnarSegmentStore
+
+        rng = np.random.default_rng(3)
+        breaker = InterpolationBreaker(0.3)
+
+        def item(sequence_id, n, n_rr):
+            values = np.cumsum(rng.normal(0.0, 1.0, n))
+            rep = breaker.represent(Sequence.from_values(values), curve_kind="regression")
+            return (sequence_id, rep, int(rng.integers(0, 5)), rng.uniform(5.0, 9.0, n_rr))
+
+        old = [item(i, 40 + 7 * i, 3) for i in range(6)]
+        store = ColumnarSegmentStore(theta=0.2)
+        store.extend(old)
+        counts = [len(rep) for __, rep, __, __ in old]
+        new = {
+            0: item(0, 120, 6),  # first store position, grows
+            2: (2, old[0][1], 1, np.array([4.0])),  # segment and R-R counts shrink
+            3: item(3, 61, 3),
+            5: item(5, 200, 0),  # last store position, zero R-R intervals
+        }
+        assert len(new[2][1]) < counts[2] and len(new[0][1]) > counts[0]
+        generation = store.generation
+        store.replace_many([new[i] for i in (5, 0, 3, 2)])  # any item order
+        store.check_consistency()
+        reference = ColumnarSegmentStore(theta=0.2)
+        reference.extend([new.get(i, old[i]) for i in range(6)])
+        _assert_same_columns(store, reference)
+        assert store.generation == generation + 1
+        entries = store.journal.entries_since(generation)
+        assert [(entry.kind, sorted(entry.sequence_ids)) for entry in entries] == [
+            ("append", [0, 2, 3, 5])
+        ]
+
+    @pytest.mark.parametrize("n_shards", [None, 2])
+    def test_batch_equals_fresh_break_and_scratch_columns(self, n_shards):
+        rng = np.random.default_rng(8)
+        breaker = IncrementalRegressionBreaker(0.35)
+        t = np.arange(90, dtype=float)
+        full = [
+            Sequence(t, 4.0 * np.sin(t / rng.uniform(3.0, 8.0)) + rng.normal(0.0, 0.1, 90), name=f"f{i}")
+            for i in range(8)
+        ]
+        # A straight-line prefix is one open window: the append re-breaks
+        # it from window 0.
+        full[3] = Sequence(t, np.where(t < 30, 0.5 * t, 4.0 * np.sin(t)), name="line")
+        # Monotone data has no peaks: zero R-R intervals.
+        full[6] = Sequence(t, 0.2 * t + rng.normal(0.0, 0.01, 90), name="ramp")
+        cut = 30
+        db = SequenceDatabase(breaker=IncrementalRegressionBreaker(0.35), n_shards=n_shards)
+        ids = db.insert_all([Sequence(s.times[:cut], s.values[:cut], name=s.name) for s in full])
+        assert len(db.representation_of(ids[3])) == 1
+        baseline = db.store.generation_vector()
+        touched = [0, 1, 3, 6, 7]  # both ends of every shard
+        db.append_many([(ids[i], full[i].values[cut:]) for i in touched])
+
+        assert db.store.rr_intervals_of(ids[6]).size == 0
+        for i in touched:
+            fresh = FunctionSeriesRepresentation.from_breakpoints(
+                full[i], breaker.break_indices(full[i]), epsilon=breaker.epsilon
+            )
+            assert encode_representation(db.representation_of(ids[i])) == (
+                encode_representation(fresh)
+            )
+        db.store.check_consistency()
+        scratch = SequenceDatabase(breaker=IncrementalRegressionBreaker(0.35), n_shards=n_shards)
+        scratch.insert_all([full[i] if i in touched else db.raw_sequence(ids[i]) for i in range(8)])
+        for shard, reference in zip(db.store.shards(), scratch.store.shards()):
+            _assert_same_columns(shard, reference)
+        # One "append" entry per touched shard, naming exactly its ids.
+        for shard, generation in zip(db.store.shards(), baseline):
+            entries = shard.journal.entries_since(generation)
+            mine = sorted(ids[i] for i in touched if ids[i] in shard)
+            assert [(entry.kind, sorted(entry.sequence_ids)) for entry in entries] == [
+                ("append", mine)
+            ]

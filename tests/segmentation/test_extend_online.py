@@ -81,9 +81,10 @@ class TestFrontierBatch:
         assert batched == [breaker.break_indices(seq) for seq, __ in items]
 
     def test_uneven_suffixes_one_long_straggler(self):
-        # One lane's rescan runs ~100x longer than the rest: it must
-        # retire the short lanes from the frontier and finish scalar-ly,
-        # still bit-identical to per-sequence extension.
+        # One lane's rescan runs ~100x longer than the rest.  Eleven
+        # lanes are below the frontier crossover, so this is the per-lane
+        # path; the straggler case of the frontier itself is
+        # ``test_frontier_at_the_crossover_equals_scalar``.
         rng = np.random.default_rng(23)
         breaker = IncrementalRegressionBreaker(0.25)
         items = []
@@ -96,8 +97,8 @@ class TestFrontierBatch:
         assert batched == [breaker.extend_indices(seq, prev) for seq, prev in items]
 
     def test_sub_frontier_batches_are_scalar_finished(self):
-        # 3..7 items: below the frontier minimum, everything runs through
-        # the state-carrying scalar finish from round zero.
+        # 3..7 items: far below the frontier crossover, every lane runs
+        # the per-lane scalar scan.
         rng = np.random.default_rng(29)
         breaker = IncrementalRegressionBreaker(0.3)
         for count in (3, 5, 7):
@@ -122,6 +123,56 @@ class TestFrontierBatch:
         breaker = IncrementalRegressionBreaker(0.3)
         full, __ = _cases(seed=9, count=1)[0]
         assert breaker.extend_indices(full, []) == breaker.break_indices(full)
+
+
+_MIN_FRONTIER = IncrementalRegressionBreaker._MIN_FRONTIER
+
+
+def _frontier_items(breaker, lanes, straggler, seed=31):
+    """``lanes`` appended sequences with uneven suffixes (so lanes retire
+    from the frontier at different rounds); with ``straggler`` the first
+    lane rescans ~3,000 samples."""
+    rng = np.random.default_rng(seed)
+    items = []
+    for i in range(lanes):
+        n = 3000 if straggler and i == 0 else int(rng.integers(40, 90))
+        full = _wavy(rng, n, name=f"lane-{i}")
+        prefix_len = 10 if straggler and i == 0 else int(rng.integers(10, n - 5))
+        items.append((full, breaker.break_indices(full[:prefix_len])))
+    return items
+
+
+@pytest.mark.parametrize(
+    "lanes, straggler",
+    [
+        (_MIN_FRONTIER - 1, False),
+        (_MIN_FRONTIER, False),
+        (_MIN_FRONTIER + 1, False),
+        (4 * _MIN_FRONTIER, True),
+    ],
+)
+def test_frontier_at_the_crossover_equals_scalar(monkeypatch, lanes, straggler):
+    breaker = IncrementalRegressionBreaker(0.3)
+    items = _frontier_items(breaker, lanes, straggler)
+    scalar = [breaker.extend_indices(seq, prev) for seq, prev in items]
+    # Straggler finishes are the scans that resume mid-suffix with the
+    # state a vector round carried over (``first`` > 0 rounds in).
+    resumed_rounds = []
+    scan = IncrementalRegressionBreaker._scan
+
+    def spy(self, times, values, first, *args, **state):
+        if state:
+            resumed_rounds.append(first)
+        return scan(self, times, values, first, *args, **state)
+
+    monkeypatch.setattr(IncrementalRegressionBreaker, "_scan", spy)
+    batched = breaker.extend_indices_many(items)
+    assert batched == scalar
+    assert batched == [breaker.break_indices(seq) for seq, __ in items]
+    if lanes < _MIN_FRONTIER:
+        assert resumed_rounds == []
+    else:
+        assert resumed_rounds and min(resumed_rounds) > 0
 
 
 class TestOfflineFallback:
