@@ -31,11 +31,10 @@ code byte-identically.
 
 Top-k similarity search adds a pruned path: each leaf store lazily
 builds a :class:`ClusterIndex` (:mod:`repro.engine.clustering`) —
-profile features, PAA sketches and seeded sketch clusters maintained through
-the same mutation journal — and a top-k plan's single stage probes
-representatives, prunes on a provable distance lower bound and
-heap-refines survivors with early abandoning, per shard, merged and
-cut at ``k`` by the executor.
+profile features and PAA sketches maintained through the same mutation
+journal — and a top-k plan's single stage bounds every row by its
+sketch, refines the rows no cheaper proof removes with early
+abandoning, per shard, merged and cut at ``k`` by the executor.
 
 Succinct symbol columns (:mod:`repro.engine.succinct`) add a scan-free
 counting path: under ``symbol_backend="succinct"`` each leaf store

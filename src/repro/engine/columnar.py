@@ -441,7 +441,7 @@ class ColumnarSegmentStore:
         self._succinct: "SuccinctSymbolIndex | None" = None
 
     def cluster_index(self) -> "ClusterIndex":
-        """This store's cluster-representative pruning index, in sync.
+        """This store's top-k lower-bound pruning index, in sync.
 
         Built lazily on first use (profiling every row once) and kept
         current afterwards by replaying the mutation journal — see

@@ -26,9 +26,9 @@ are collected by shard position, so answers are identical for any
 worker count, any shard count, and the single unsharded store.
 
 Top-k plans (``plan.topk`` set) scatter the pruned search itself: each
-shard runs probe-representatives → lower-bound-prune → heap-refine over
-its own cluster index (:mod:`repro.engine.clustering`) and returns its
-partial top-k heap as a sorted match list; the executor merges the
+shard runs sketch-bound → seed-refine → bounded-refine over its own
+profile index (:mod:`repro.engine.clustering`) and returns its partial
+top-k as a sorted match list; the executor merges the
 partials by :meth:`QueryMatch.sort_key` — ``(grade, deviation, id)``,
 so ties break on ascending sequence id — and cuts the merged list at
 ``plan.limit``.  Plans with ``limit`` but no ``topk`` stage simply

@@ -22,9 +22,9 @@ stages, each optional except the last:
     subclasses).  This is exactly the legacy ``Query.grade``.
 
 Top-k plans replace the per-store stages with a single ``topk`` stage
-(probe cluster representatives, lower-bound prune, heap-refine — see
+(sketch lower bound, seed refine, bounded refine — see
 :mod:`repro.engine.clustering`) that each shard runs over its own
-cluster index; the executor merges the per-shard partial heaps and
+profile index; the executor merges the per-shard partial answers and
 cuts the result at ``limit``.  ``limit`` alone (no ``topk`` stage)
 truncates an ordinary plan's sorted matches — the ``db.query(...,
 limit=k)`` form for queries without a distance-pruned path.
@@ -113,7 +113,7 @@ class QueryPlan:
     def stages(self) -> "list[str]":
         """Human-readable stage list, in execution order."""
         if self.topk is not None:
-            return ["probe-representatives", "lower-bound-prune", "heap-refine"]
+            return ["sketch-bound", "seed-refine", "bounded-refine"]
         if self.collect is not None:
             return ["motif-collect"]
         names = []

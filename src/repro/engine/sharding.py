@@ -191,21 +191,17 @@ class ShardedSegmentStore:
     def cluster_report(self) -> dict:
         """Aggregated cluster-index telemetry across every shard.
 
-        Counters sum; ``last_pruned_fraction`` is recomputed from the
-        shards' last-query row/refine totals, so it describes the last
-        scattered query as a whole rather than averaging per-shard
-        ratios with different weights.
+        Every counter of the shards' own reports sums; ``built`` is
+        true when any shard built, and ``last_pruned_fraction`` is
+        recomputed from the shards' last-query row/refine totals, so it
+        describes the last scattered query as a whole rather than
+        averaging per-shard ratios with different weights.
         """
         per_shard = [shard.cluster_report() for shard in self._shards]
         summed = {
             key: sum(report[key] for report in per_shard)
-            for key in (
-                "sequences", "representatives", "builds", "rebuilds",
-                "stale_mutations", "nbytes", "queries", "clusters_probed",
-                "clusters_pruned", "members_pruned", "candidates_refined",
-                "early_abandoned", "last_rows_considered",
-                "last_candidates_refined",
-            )
+            for key in per_shard[0]
+            if key not in ("built", "last_pruned_fraction")
         }
         last_rows = summed["last_rows_considered"]
         last_refined = summed["last_candidates_refined"]

@@ -23,7 +23,7 @@ question costs a full scan.  This module stores the same symbols as
 :class:`SuccinctSymbolIndex`
     Both symbol views of one :class:`~repro.engine.columnar.ColumnarSegmentStore`
     as wavelet matrices, maintained through the store's mutation
-    journal exactly like :class:`~repro.engine.clustering.ClusterIndex`:
+    journal like :class:`~repro.engine.clustering.ClusterIndex`:
     cheap generation no-op, per-id *overlay* patching for small dirty
     sets, staleness-ratio full rebuild.  Counting and motif-position
     queries are answered from rank/select probes (rarest-symbol
@@ -664,9 +664,8 @@ class SuccinctSymbolIndex:
     query evaluates against one shard's index at a time.
     """
 
-    #: Accumulated dirty ids before a ratio rebuild can trigger —
-    #: matches :class:`~repro.engine.clustering.ClusterIndex`: overlay
-    #: scans erode the scan-free speedup quickly.
+    #: Accumulated dirty ids before a ratio rebuild can trigger — low:
+    #: overlay scans erode the scan-free speedup quickly.
     _STALE_FLOOR = 64
 
     def __init__(

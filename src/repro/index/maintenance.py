@@ -1,19 +1,16 @@
 """Shared maintenance policies for incrementally patched indexes.
 
-Several structures in this codebase are patched in place by streaming
-mutations and accumulate *stale* residue while doing so: the succinct
-symbol mirror keeps an overlay of the sequences mutated since its last
-build (:class:`repro.engine.succinct.SuccinctSymbolIndex`), and the
-cluster-representative index keeps assigning mutated sequences to the
-leader partition chosen at build time
-(:class:`repro.engine.clustering.ClusterIndex`).  Both degrade
-gracefully — correctness never depends on compaction — but both
-eventually want a full rebuild, and both want the *same* shape of
-trigger: don't bother below a fixed floor of staleness, and above it
-rebuild once the stale fraction dominates the structure.
+Structures patched in place by streaming mutations can accumulate
+*stale* residue while doing so: the succinct symbol mirror keeps an
+overlay of the sequences mutated since its last build
+(:class:`repro.engine.succinct.SuccinctSymbolIndex`).  It degrades
+gracefully — correctness never depends on compaction — but eventually
+wants a full rebuild, with a simple trigger: don't bother below a fixed
+floor of staleness, and above it rebuild once the stale fraction
+dominates the structure.
 
-Keeping the rule here means the two can never drift apart, and gives
-third-party incremental indexes the identical knob.
+Keeping the rule here gives third-party incremental indexes the
+identical knob.
 """
 
 from __future__ import annotations

@@ -841,7 +841,7 @@ class SequenceDatabase:
         """The stage list the engine will run for ``query``.
 
         A top-k plan renders its pruned pipeline
-        (``probe-representatives -> lower-bound-prune -> heap-refine
+        (``sketch-bound -> seed-refine -> bounded-refine
         [limit=k]``); pass the same ``limit`` as the matching
         :meth:`query` call so the cache verdict inspects the right
         entry.
@@ -959,10 +959,10 @@ class SequenceDatabase:
         ``revalidations`` / ``delta_hits`` / ``delta_fallbacks`` and
         the top-k counters ``topk_entries`` / ``topk_refills``), the
         mutation journal's footprint (``journal``: retained entries,
-        estimated bytes, rebase floor, compactions), and the cluster-
-        representative pruning telemetry (``topk``: representatives,
-        builds/rebuilds, clusters probed and pruned, candidates
-        refined, early abandons, and the last query's pruned fraction),
+        estimated bytes, rebase floor, compactions), and the top-k
+        lower-bound pruning telemetry (``topk``: builds/rebuilds, rows
+        pruned by the sketch bound, candidates refined, early abandons,
+        and the last query's pruned fraction),
         the executor's backend/pool telemetry (``executor``: backend
         name, query/retry/fallback counters and, for pooled backends,
         worker and dispatch counts), the succinct symbol-index

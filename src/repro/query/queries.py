@@ -36,8 +36,8 @@ The concrete types:
     Euclidean distance between resampled representation profiles
     (:mod:`repro.engine.clustering`) — graded along the
     ``profile_distance`` dimension and evaluated through the
-    cluster-representative pruned search (probe representatives,
-    lower-bound prune, heap-refine with early abandoning).
+    lower-bound pruned search (sketch bound, seed refine, bounded
+    refine with early abandoning).
 :class:`CountQuery`
     "How many sequences contain this motif" — substring containment of
     a literal slope-symbol motif, exact by construction.  Under the
@@ -726,8 +726,8 @@ class TopKQuery(Query):
 
     The plan has a single ``topk`` stage: each shard's
     :class:`~repro.engine.clustering.ClusterIndex` runs
-    probe-representatives → lower-bound-prune → heap-refine over its
-    own rows, and the executor merges the per-shard partial heaps and
+    sketch-bound → seed-refine → bounded-refine over its own rows, and
+    the executor merges the per-shard partial answers and
     cuts at ``k``.  Pruning is lossless (the sketch lower bound never
     exceeds the true distance), so the answer is identical — match for
     match, float for float — to grading every stored sequence through

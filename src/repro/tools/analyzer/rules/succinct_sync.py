@@ -2,7 +2,7 @@
 
 The succinct symbol backend (:mod:`repro.engine.succinct`) keeps a
 wavelet-matrix mirror of the store's symbol columns.  Unlike the
-cluster index, its staleness protocol is *eager at the notification
+top-k profile index, its staleness protocol is *eager at the notification
 edge*: the index must snapshot the pre-mutation layout **before** the
 column write lands (copy-on-write is impossible after the fact), so
 every mutation path through a succinct-backed store has to tell the

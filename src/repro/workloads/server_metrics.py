@@ -15,10 +15,10 @@ trace shapes:
 
 ``server_metrics_corpus`` mixes the two into amplitude-separated
 *families* (baseline level × burst/plateau regime), which is exactly
-the structure cluster-representative pruning thrives on: traces in the
-same family share a profile, traces across families are far apart, so
-a top-k query over the corpus prunes most clusters from their
-representatives alone.  Every generator is deterministic given its
+the structure lower-bound pruning thrives on: traces in the same family
+share a profile, traces across families are far apart, so a top-k
+query over the corpus proves most traces too far from their sketches
+alone.  Every generator is deterministic given its
 seed.
 """
 

@@ -1,9 +1,8 @@
-"""Cluster-representative pruning index: lower-bound invariants,
+"""Lower-bound pruned top-k index: lower-bound invariants,
 journal-driven maintenance, and topk-vs-oracle equality.
 
 The load-bearing property is GEMINI-style losslessness: the sketch
-lower bound must never exceed the true profile distance, for member
-bounds and for cluster (representative - radius) bounds alike, so every
+lower bound must never exceed the true profile distance, so every
 prune in :meth:`ClusterIndex.topk` is a proof and the pruned answer
 equals the full-grade-then-sort oracle exactly.
 """
@@ -15,17 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.tolerance import EXACT_EPSILON
 from repro.engine.clustering import (
     N_FEATURES,
     ClusterIndex,
-    _sketch_gaps,
     chunked_distances,
     lower_bound_scale,
     profile_features,
     profile_rows,
     sketch_of,
 )
-from repro.index import stale_rebuild_due
 from repro.query import SequenceDatabase
 from repro.workloads import server_metrics_corpus
 
@@ -145,27 +143,6 @@ def test_sketch_lower_bound_holds_on_real_profiles():
         assert bound <= float(true[0])
 
 
-def test_cluster_level_bound_never_exceeds_member_distance():
-    db = _metrics_db(n=40)
-    index = db.store.cluster_index()
-    scale = lower_bound_scale()
-    rng = np.random.default_rng(7)
-    queries = [
-        index.features_of(int(rng.choice(db.ids()))) + rng.normal(scale=3.0, size=N_FEATURES)
-        for _ in range(10)
-    ]
-    for query in queries:
-        query_sketch = sketch_of(query)
-        for cluster in index._clusters:
-            if not cluster.member_ids:
-                continue
-            gap = float(np.linalg.norm(cluster.representative - query_sketch))
-            cluster_bound = scale * max(0.0, gap - cluster.radius)
-            for member in cluster.member_ids:
-                true, __ = chunked_distances(index.features_of(member), query)
-                assert cluster_bound <= float(true[0])
-
-
 def test_chunked_distances_matches_norm_and_abandons_soundly():
     rng = np.random.default_rng(11)
     rows = rng.normal(size=(64, N_FEATURES))
@@ -181,6 +158,41 @@ def test_chunked_distances_matches_norm_and_abandons_soundly():
     # provably beyond the bound.
     assert np.array_equal(pruned[finite], distances[finite])
     assert (distances[~finite] > bound).all()
+
+
+def _chunk_loop(rows, query, abandon_above=None):
+    """Per-chunk ``sum(axis=1)`` accumulation with a shrinking live set:
+    the early-abandoning loop the vectorized kernel must reproduce."""
+    partial = np.zeros(len(rows))
+    alive = np.ones(len(rows), dtype=bool)
+    limit = np.inf if abandon_above is None else abandon_above**2 * (1.0 + 1e-9)
+    for lo in range(0, rows.shape[1], 8):
+        live = np.flatnonzero(alive)
+        diff = rows[live, lo : lo + 8] - query[lo : lo + 8]
+        partial[live] += (diff * diff).sum(axis=1)
+        if lo + 8 < rows.shape[1]:
+            alive[live[partial[live] > limit]] = False
+    distances = np.sqrt(partial)
+    distances[~alive] = np.inf
+    return distances, int((~alive).sum())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chunked_distances_bit_identical_to_chunk_loop_and_subsets(seed):
+    rng = np.random.default_rng(seed)
+    scale = [1e-6, 1.0, 50.0, 1e6, 3.0, 0.5][seed]
+    n = int(rng.integers(1, 600))
+    rows = rng.normal(rng.normal(0, scale), scale, (n, N_FEATURES))
+    query = rng.normal(0, scale, N_FEATURES)
+    full, __ = chunked_distances(rows, query)
+    assert np.array_equal(full, _chunk_loop(rows, query)[0])
+    subset = rng.choice(n, size=max(1, n // 3), replace=False)
+    assert np.array_equal(chunked_distances(rows[subset], query)[0], full[subset])
+    bound = float(np.quantile(full, rng.random()))
+    got, abandoned = chunked_distances(rows, query, abandon_above=bound)
+    expected, expected_abandoned = _chunk_loop(rows, query, abandon_above=bound)
+    assert np.array_equal(got, expected)
+    assert abandoned == expected_abandoned
 
 
 # ----------------------------------------------------------------------
@@ -238,6 +250,50 @@ def test_topk_tie_breaks_on_ascending_id():
     assert top4[1][0] == top4[2][0]
 
 
+def _index_over(ids, features):
+    """A detached index whose rows are exactly ``features`` under ``ids``."""
+    index = ClusterIndex(SequenceDatabase().store)
+    index._ids = np.asarray(ids, dtype=np.int64)
+    index._features = np.asarray(features, dtype=np.float64).reshape(-1, N_FEATURES)
+    index._sketches = sketch_of(index._features)
+    return index
+
+
+def _brute_force(index, query, k, threshold):
+    """Every distance, filtered by threshold, sorted by (distance, id), cut at k."""
+    ids, distances = index.all_distances(query)
+    keep = distances <= threshold
+    pairs = sorted(zip(distances[keep].tolist(), ids[keep].tolist()))
+    return pairs[: max(k, 0)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    n_distinct=st.integers(1, 6),
+    spread=st.sampled_from([0.0, 1e-6, 1.0, 40.0]),
+    query_is_row=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_topk_equals_brute_force_property(n, n_distinct, spread, query_is_row, seed):
+    rng = np.random.default_rng(seed)
+    # Few distinct profiles, replicated: exact distance ties are common.
+    pool = rng.normal(50.0, 10.0, (n_distinct, N_FEATURES))
+    features = pool[rng.integers(0, n_distinct, n)] + rng.normal(0.0, spread, (n, N_FEATURES))
+    features[rng.random(n) < 0.3] = pool[0]
+    ids = np.cumsum(rng.integers(1, 5, n))
+    index = _index_over(ids, features)
+    query = pool[0] if query_is_row else pool[0] + rng.normal(0.0, 5.0, N_FEATURES)
+    __, distances = index.all_distances(query)
+    ranked = np.sort(distances)
+    for k in sorted({0, 1, n - 1, n, n + 3}):
+        kth = [float(ranked[min(k, n) - 1])] if n and k > 0 else []
+        for threshold in [np.inf, 0.0, EXACT_EPSILON, *kth]:
+            got = index.topk(query, k, threshold=threshold)
+            assert got == _brute_force(index, query, k, threshold)
+            assert all(np.isfinite(distance) for distance, __ in got)
+
+
 # ----------------------------------------------------------------------
 # Maintenance: sync vs rebuild, staleness, compaction
 # ----------------------------------------------------------------------
@@ -263,18 +319,20 @@ def test_incremental_sync_equals_fresh_rebuild():
         assert synced.topk(query, 9) == fresh.topk(query, 9)
 
 
-def test_staleness_ratio_triggers_rebuild():
+def test_long_append_run_replays_without_rebuild():
+    # The rows are exact images of the store, so however many dirty ids
+    # the journal replays, no staleness rebuild is ever needed.
     db = _metrics_db(n=30)
     index = db.store.cluster_index()
-    assert index.rebuilds == 0
-    # Push enough journal-dirty ids through sync to trip the shared
-    # staleness policy (floor 64, ratio 2*stale > total).
     sequence_id = db.ids()[0]
     for round_ in range(70):
         db.append(sequence_id, [float(round_)])
-        db.store.cluster_index()
-    assert index.rebuilds >= 1
-    assert stale_rebuild_due(65, 30, ClusterIndex._STALE_FLOOR)
+        assert db.store.cluster_index() is index
+    assert index.rebuilds == 0
+    fresh = ClusterIndex(db.store)
+    fresh.sync()
+    assert np.array_equal(index._features, fresh._features)
+    assert np.array_equal(index._sketches, fresh._sketches)
 
 
 def test_journal_compaction_forces_rebuild():
@@ -296,13 +354,15 @@ def test_report_counters_move():
     index = db.store.cluster_index()
     report = index.report()
     assert report["built"] and report["sequences"] == 30
-    assert report["representatives"] == index.n_clusters > 1
+    assert report["representatives"] == report["stale_mutations"] == 0
     query = index.features_of(db.ids()[3])
     index.topk(query, 3)
     after = index.report()
     assert after["queries"] == 1
-    assert after["clusters_probed"] >= 1
+    assert after["clusters_probed"] == after["clusters_pruned"] == 0
     assert after["last_rows_considered"] == 30
+    assert after["candidates_refined"] == after["last_candidates_refined"] >= 3
+    assert after["members_pruned"] == 30 - after["last_candidates_refined"]
     assert 0.0 <= after["last_pruned_fraction"] <= 1.0
     assert after["nbytes"] > 0
 
@@ -315,7 +375,7 @@ _ANY = st.integers(0, 10**6)
 _ACTIONS = st.one_of(
     st.tuples(st.just("insert"), st.integers(1, 3)),
     st.tuples(st.just("delete"), st.lists(_ANY, min_size=1, max_size=3)),
-    # A 1e3 scale moves a profile far past tau: it founds a cluster.
+    # A 1e3 scale moves a profile far from every other row.
     st.tuples(
         st.just("append"),
         st.lists(_ANY, min_size=1, max_size=5),
@@ -327,64 +387,13 @@ _ACTIONS = st.one_of(
 )
 
 
-def _interleaved_replay(clusters, dirty, fresh, tau):
-    """The id-by-id replay: remove, then re-admit each dirty id in turn,
-    restacking every representative for each id (the leader rule)."""
-    clusters = [[rep.copy(), list(members), radius] for rep, members, radius in clusters]
-    owner = {m: k for k, (__, members, __) in enumerate(clusters) for m in members}
-    for sequence_id in sorted(dirty):
-        k = owner.pop(sequence_id, None)
-        if k is not None:
-            clusters[k][1].remove(sequence_id)
-        row = int(np.searchsorted(fresh._ids, sequence_id))
-        if row == len(fresh._ids) or fresh._ids[row] != sequence_id:
-            continue  # deleted
-        sketch = fresh._sketches[row]
-        if clusters:
-            gaps = _sketch_gaps(np.stack([cluster[0] for cluster in clusters]), sketch)
-            best = int(np.argmin(gaps))
-            if gaps[best] <= tau:
-                clusters[best][1].append(sequence_id)
-                clusters[best][2] = max(clusters[best][2], float(gaps[best]))
-                owner[sequence_id] = best
-                continue
-        clusters.append([sketch.copy(), [sequence_id], 0.0])
-        owner[sequence_id] = len(clusters) - 1
-    return clusters
-
-
 def _assert_replayed_like_fresh(store):
-    before = store._cluster_index
-    snapshot = [
-        (cluster.representative, cluster.member_ids, cluster.radius)
-        for cluster in before._clusters
-    ]
-    dirty = store.dirty_ids_since((before._synced_generation,))
-    rebuilds = before.rebuilds
     index = store.cluster_index()
     fresh = ClusterIndex(store)
     fresh.sync()
     assert np.array_equal(index._ids, fresh._ids)
     assert np.array_equal(index._features, fresh._features)
     assert np.array_equal(index._sketches, fresh._sketches)
-    members = [m for cluster in index._clusters for m in cluster.member_ids]
-    assert sorted(members) == index._ids.tolist()  # a partition of the live ids
-    for cluster in index._clusters:
-        if not cluster.member_ids:
-            continue
-        rows = np.searchsorted(index._ids, cluster.member_ids)
-        gaps = _sketch_gaps(index._sketches[rows], cluster.representative)
-        # The invariant the cluster lower bound prunes on.
-        assert bool((gaps <= cluster.radius).all())
-    if dirty is not None and index.rebuilds == rebuilds:
-        # The batched replay equals removing and re-admitting id by id:
-        # same representatives, member order and radii.
-        reference = _interleaved_replay(snapshot, dirty, fresh, index._tau)
-        assert len(reference) == len(index._clusters)
-        for (rep, members, radius), cluster in zip(reference, index._clusters):
-            assert np.array_equal(rep, cluster.representative)
-            assert members == cluster.member_ids
-            assert radius == cluster.radius
     if len(index):
         query = index._features[len(index) // 2] + 3.0
         for k in (1, 3, len(index) + 2):

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import gc
+import sys
 import weakref
 
 import pytest
 
 from repro.core.errors import EngineError
+from repro.core.tolerance import DimensionDeviation, MatchGrade
 from repro.engine import PlanResultCache
+from repro.engine.cache import _matches_bytes
 from repro.query import (
     IntervalQuery,
     PatternQuery,
@@ -442,3 +445,35 @@ class TestSizeAwareEviction:
         assert stats["estimated_bytes"] > 0
         for key in ("max_entries", "max_bytes", "misses", "invalidations", "evictions", "oversized"):
             assert key in stats
+
+
+def test_matches_bytes_equals_per_match_loop():
+    # The estimate decides eviction order, so it must equal the
+    # per-match getsizeof loop it replaced, figure for figure.
+    class Name(str):
+        """A str subclass: carries a GC header and a dict."""
+
+    deviation = DimensionDeviation("profile_distance", 0.5, 1.0)
+    names = ["ecg-7", "", "fièvre-ß", "心电图-12", "x" * 300, "naïve" * 40, "🫀-3"]
+    matches = [
+        QueryMatch(i, name, MatchGrade.APPROXIMATE, (deviation,) * (i % 3))
+        for i, name in enumerate(names * 3)
+    ]
+
+    def loop(items):
+        cost = 0
+        for match in items:
+            cost += 96 + sys.getsizeof(match.name)
+            cost += 120 * len(match.deviations)
+        return cost
+
+    assert {len(match.deviations) for match in matches} == {0, 1, 2}
+    assert _matches_bytes(matches) == loop(matches)
+    assert _matches_bytes(tuple(matches)) == loop(matches)
+    assert _matches_bytes(m for m in matches if m.sequence_id % 2) == loop(
+        m for m in matches if m.sequence_id % 2
+    )
+    assert _matches_bytes([]) == 0
+    # A name that is not an exact str takes the getsizeof path.
+    odd = matches + [QueryMatch(99, Name("ecg-99"), MatchGrade.EXACT, (deviation,))]
+    assert _matches_bytes(odd) == loop(odd)

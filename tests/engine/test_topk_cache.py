@@ -12,11 +12,13 @@ always checking the patched answer against a cold ``engine=False`` run.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.query import SequenceDatabase, TopKQuery
+from repro.core.sequence import Sequence
+from repro.query import SequenceDatabase, TopKQuery, parse_query
 from repro.segmentation.online import IncrementalRegressionBreaker
-from repro.workloads import latency_trace, server_metrics_corpus
+from repro.workloads import ecg_corpus, latency_trace, server_metrics_corpus
 
 SHARD_COUNTS = [None, 2, 7]
 
@@ -158,3 +160,54 @@ def test_same_query_different_limits_coexist():
     assert _tuples(db.query(query, limit=2)) == _tuples(two)
     assert _tuples(db.query(query)) == _tuples(full)
     assert db.result_cache.stats()["hits"] == hits_before + 2
+
+
+def _brute_force_pairs(db, query):
+    """Every shard's full distance grade, sorted by (distance, id), cut at k."""
+    features = query._features_for(db)
+    pairs = []
+    for shard in db.store.shards():
+        ids, distances = shard.cluster_index().all_distances(features)
+        pairs.extend(zip(distances.tolist(), ids.tolist()))
+    return sorted(pairs)[: query.k]
+
+
+def _pairs(matches):
+    return [(m.deviations[0].amount, m.sequence_id) for m in matches]
+
+
+def test_long_stream_standing_nearest_across_journal_compaction():
+    # A stream of ticks (25 samples onto 8 of 100 ECGs, 4 shards) under
+    # a cached standing NEAREST, read after every step: one-tick steps
+    # revalidate by delta.  Every sixth step runs more ticks than a
+    # shard's journal ring holds, so the journal compacts past the
+    # index's synced generation: ``dirty_ids_since`` answers None, the
+    # index rebuilds and the cache falls back to a full evaluation.
+    prefix, per_tick, samples, ring = 200, 8, 25, 4
+    corpus = ecg_corpus(n_sequences=100, n_points=prefix + 30 * samples, seed=5)
+    db = SequenceDatabase(breaker=IncrementalRegressionBreaker(4.0), n_shards=4)
+    db.insert_all([Sequence(s.times[:prefix], s.values[:prefix], name=s.name) for s in corpus])
+    query = parse_query("NEAREST 10 TO 7", db)
+    db.query(query)
+    for shard in db.store.shards():
+        shard.journal.max_entries = ring
+    rng = np.random.default_rng(3)
+    length = np.full(len(corpus), prefix)
+    indexes = [shard.cluster_index() for shard in db.store.shards()]
+    for step in range(24):
+        for __ in range(ring + 2 if step % 6 == 5 else 1):
+            live = np.flatnonzero(length + samples <= len(corpus[0]))
+            ids = np.sort(rng.choice(live, size=per_tick, replace=False)).tolist()
+            db.append_many(
+                [(i, corpus[i].values[length[i] : length[i] + samples]) for i in ids]
+            )
+            length[ids] += samples
+        cached = _pairs(db.query(query))
+        assert cached == _pairs(db.query(query, cache=False))
+        assert cached == _brute_force_pairs(db, query)
+    assert all(index is shard.cluster_index() for index, shard in zip(indexes, db.store.shards()))
+    assert all(index.rebuilds >= 1 for index in indexes)
+    stats = db.result_cache.stats()
+    assert stats["delta_hits"] >= 16
+    assert stats["delta_fallbacks"] >= 4
+    assert stats["topk_refills"] >= 1

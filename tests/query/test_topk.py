@@ -209,9 +209,7 @@ def test_nearest_language_form():
 def test_explain_shows_pruned_stages_and_limit():
     db = _metrics_db(None, n=12)
     text = db.explain(TopKQuery(latency_trace(seed=2), 7))
-    assert "probe-representatives" in text
-    assert "lower-bound-prune" in text
-    assert "heap-refine" in text
+    assert "sketch-bound -> seed-refine -> bounded-refine" in text
     assert "[limit=7]" in text
     limited = db.explain(PeakCountQuery(2, count_tolerance=2), limit=5)
     assert "[limit=5]" in limited
@@ -226,6 +224,19 @@ def test_storage_report_topk_telemetry():
     topk = report["topk"]
     assert topk["built"] is True
     assert topk["queries"] >= 1
-    assert topk["representatives"] >= 2
+    assert topk["candidates_refined"] >= topk["last_candidates_refined"] >= 1
     assert topk["sequences"] == 20
     assert 0.0 <= topk["last_pruned_fraction"] <= 1.0
+
+
+def test_storage_report_topk_keys_same_sharded_and_unsharded():
+    # The sharded report sums whatever counters the shards report, so a
+    # counter renamed in ClusterIndex.report() cannot break only sharded
+    # databases.
+    reports = []
+    for n_shards in (None, 4):
+        db = _metrics_db(n_shards, n=20)
+        db.query(TopKQuery(latency_trace(baseline=45.0, seed=9), 5))
+        reports.append(db.storage_report()["topk"])
+    assert set(reports[0]) == set(reports[1])
+    assert reports[0]["sequences"] == reports[1]["sequences"] == 20
